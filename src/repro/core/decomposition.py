@@ -29,17 +29,23 @@ Decomposition strategies (Fig. 9):
 A kernel piece is a real :class:`~repro.core.assembly.KernelFunc` whose op
 has the scaled shape — its duration comes from the same profiler, so the
 decomposition *penalty* (sum of pieces > whole) is emergent, not assumed.
+
+The planner keeps that offline profile as a *division table* per kernel
+shape and split rule: ``(numer, piece_duration)`` for ``numer = d−1 … 1``,
+built on the first query of a shape.  :meth:`DecompositionPlanner.split_to_fit`
+scans the table and runs the split rule only once, for the winning fraction,
+to name and shape the piece and remainder ops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.assembly import KernelFunc
 from repro.errors import ConfigError
 from repro.models.ops import OpDesc
-from repro.profiling.profiler import OpProfiler
+from repro.profiling.profiler import OpProfiler, op_key
 
 __all__ = [
     "DecompositionPlanner",
@@ -139,6 +145,10 @@ class DecompositionPlanner:
             "gemm": split_gemm_vertical,
             "all_reduce": split_allreduce,
         }
+        #: Division tables, see :meth:`_division_table`.  One entry per
+        #: distinct (shape, split rule, d) — the same bound as the
+        #: profiler's own duration cache.
+        self._tables: Dict[Tuple, List[Tuple[int, float]]] = {}
 
     def register_split_rule(self, flavour: str, splitter) -> None:
         """Teach the planner to decompose a new op flavour.
@@ -177,11 +187,9 @@ class DecompositionPlanner:
         if not self.can_decompose(func):
             return None
         splitter = self._split_rules[func.op.op]
-        d = self.division_factor
-        for numer in range(d - 1, 0, -1):
-            piece_op, rest_op = splitter(func.op, numer, d)
-            piece_duration = self.profiler.duration(piece_op)
+        for numer, piece_duration in self._division_table(func.op, splitter):
             if piece_duration * scale <= window:
+                piece_op, rest_op = splitter(func.op, numer, self.division_factor)
                 piece = KernelFunc(
                     op=piece_op,
                     duration=piece_duration,
@@ -207,10 +215,26 @@ class DecompositionPlanner:
         """Offline table: duration of every ``i/d`` division of a kernel."""
         if not self.can_decompose(func):
             return []
-        splitter = self._split_rules[func.op.op]
-        out: List[Tuple[str, float]] = []
         d = self.division_factor
-        for numer in range(1, d):
-            piece_op, _ = splitter(func.op, numer, d)
-            out.append((f"{numer}/{d}", self.profiler.duration(piece_op)))
-        return out
+        table = self._division_table(func.op, self._split_rules[func.op.op])
+        return [(f"{numer}/{d}", duration) for numer, duration in reversed(table)]
+
+    def _division_table(self, op: OpDesc, splitter) -> List[Tuple[int, float]]:
+        """``(numer, piece duration)`` for ``numer = d−1 … 1``, built once.
+
+        A piece's duration depends only on the op's profile key (its
+        flavour and shape or payload), the split rule and ``d`` — the op's
+        name only names the piece — so those three key the table.  Keying
+        on the splitter object means re-registering a flavour's rule never
+        serves a table the old rule built.
+        """
+        d = self.division_factor
+        key = (op_key(op), splitter, d)
+        table = self._tables.get(key)
+        if table is None:
+            table = [
+                (numer, self.profiler.duration(splitter(op, numer, d)[0]))
+                for numer in range(d - 1, 0, -1)
+            ]
+            self._tables[key] = table
+        return table

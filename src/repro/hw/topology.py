@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import networkx as nx
 
@@ -53,12 +54,27 @@ class Topology:
         (A100 PCIe); the ring all-reduce cost model consumes this directly so
         collective costs match the measured machine rather than a theoretical
         link sum.
+
+    The graph is treated as immutable once the topology is built: pair
+    queries (:meth:`p2p_path`, :meth:`p2p_latency`, :meth:`p2p_bandwidth`)
+    are answered from per-pair tables filled by ``nx.shortest_path`` on
+    each pair's first query.  Build a new topology instead of editing
+    ``graph`` in place.
     """
 
     num_gpus: int
     kind: InterconnectKind
     graph: nx.Graph = field(repr=False)
     allreduce_bus_bandwidth: float = GBps(25.0)
+    _paths: Dict[Tuple[int, int], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _latencies: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _bandwidths: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -74,25 +90,42 @@ class Topology:
     # ------------------------------------------------------------------
     def p2p_path(self, src: int, dst: int) -> list:
         """Vertices traversed by a point-to-point transfer (inclusive)."""
-        self._check_gpu(src)
-        self._check_gpu(dst)
-        return nx.shortest_path(self.graph, src, dst)
+        return list(self._path(src, dst))
 
     def p2p_bandwidth(self, src: int, dst: int) -> float:
         """Bottleneck bandwidth (bytes/s) between two GPUs."""
         if src == dst:
             raise ConfigError("p2p bandwidth is undefined for src == dst")
-        path = self.p2p_path(src, dst)
-        return min(
-            self.graph.edges[a, b]["bandwidth"] for a, b in zip(path, path[1:])
-        )
+        path = self._path(src, dst)
+        bandwidth = self._bandwidths.get((src, dst))
+        if bandwidth is None:
+            bandwidth = self._bandwidths[(src, dst)] = min(
+                self.graph.edges[a, b]["bandwidth"] for a, b in zip(path, path[1:])
+            )
+        return bandwidth
 
     def p2p_latency(self, src: int, dst: int) -> float:
         """Accumulated hop latency (µs) between two GPUs."""
         if src == dst:
             return 0.0
-        path = self.p2p_path(src, dst)
-        return sum(self.graph.edges[a, b]["latency"] for a, b in zip(path, path[1:]))
+        path = self._path(src, dst)
+        latency = self._latencies.get((src, dst))
+        if latency is None:
+            latency = self._latencies[(src, dst)] = sum(
+                self.graph.edges[a, b]["latency"] for a, b in zip(path, path[1:])
+            )
+        return latency
+
+    def _path(self, src: int, dst: int) -> tuple:
+        """Range-checked shortest path, computed once per ordered pair."""
+        self._check_gpu(src)
+        self._check_gpu(dst)
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._paths[(src, dst)] = tuple(
+                nx.shortest_path(self.graph, src, dst)
+            )
+        return path
 
     def has_direct_link(self, src: int, dst: int) -> bool:
         """True when the two GPUs share an edge (no switch hop)."""

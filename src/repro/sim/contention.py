@@ -30,21 +30,7 @@ from typing import Dict, Iterable, List
 from repro.errors import ConfigError
 from repro.sim.kernel import Kernel
 
-try:  # pragma: no cover - the container bakes numpy into the toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["ContentionModel", "NullContention", "DefaultContention", "default_contention_for"]
-
-#: Resident-set size past which the final elementwise combine runs on numpy
-#: arrays.  Gathering attributes into arrays has fixed cost, so the common
-#: small sets stay scalar; both branches are bit-identical because only
-#: elementwise IEEE ops are vectorized — every *reduction* keeps Python's
-#: sequential left-to-right association (numpy's pairwise summation would
-#: associate differently and drift in the last ULPs, which the golden
-#: traces pin).
-_VECTOR_MIN_RESIDENT = 8
 
 
 class ContentionModel:
@@ -189,15 +175,7 @@ class DefaultContention(ContentionModel):
                 ci += 1
 
         # Shared HBM pressure applies to everyone, scaled by how much of
-        # the bandwidth the kernel itself needs.  Elementwise combine only
-        # — per-element IEEE ops are identical scalar or vectorized, so the
-        # numpy branch is bit-equal to the scalar one.
-        if _np is not None and n >= _VECTOR_MIN_RESIDENT:
-            mems = _np.fromiter(
-                (k.memory_intensity for k in kernels), _np.float64, count=n
-            )
-            vals = _np.asarray(pre) + mem_scale * mems
-            return dict(zip((k.uid for k in kernels), vals.tolist()))
+        # the bandwidth the kernel itself needs.
         return {
             k.uid: p + mem_scale * k.memory_intensity
             for k, p in zip(kernels, pre)

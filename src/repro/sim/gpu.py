@@ -43,21 +43,10 @@ from repro.sim.kernel import CollectiveOp, Kernel
 from repro.sim.stream import Command, CommandKind, Stream, _fast_command
 from repro.sim.tracing import Trace
 
-try:  # pragma: no cover - the container bakes numpy into the toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["Machine", "Gpu"]
 
 _EPS = 1e-6
 _ready_seq = itertools.count()
-
-#: Active-set size past which progress banking runs on numpy arrays.  The
-#: gather/scatter has fixed cost, so typical decode sets stay scalar; the
-#: branches are bit-identical because banking is purely elementwise
-#: (``remaining - dt / slowdown`` per kernel — no cross-kernel reduction).
-_VECTOR_MIN_ACTIVE = 32
 
 # Hoisted enum members: the pump compares command kinds ~100k times per
 # simulated second of decode, and a module-global load beats two attribute
@@ -533,25 +522,10 @@ class Machine:
             self._last_bank_time = now
             return
         for gpu in self.gpus:
-            active = gpu.active_local
-            if _np is not None and len(active) >= _VECTOR_MIN_ACTIVE:
-                rss = list(active.values())
-                cnt = len(rss)
-                rem = _np.fromiter(
-                    (rs.remaining for rs in rss), _np.float64, cnt
-                ) - dt / _np.fromiter(
-                    (rs.slowdown for rs in rss), _np.float64, cnt
-                )
-                # where() mirrors the scalar branch exactly (including its
-                # NaN-to-zero behaviour); a masked assignment would not.
-                for rs, r in zip(rss, _np.where(rem > 0.0, rem, 0.0).tolist()):
-                    rs.remaining = r
-                    rs.stretched += dt
-            else:
-                for rs in active.values():
-                    rem = rs.remaining - dt / rs.slowdown
-                    rs.remaining = rem if rem > 0.0 else 0.0
-                    rs.stretched += dt
+            for rs in gpu.active_local.values():
+                rem = rs.remaining - dt / rs.slowdown
+                rs.remaining = rem if rem > 0.0 else 0.0
+                rs.stretched += dt
         for crun in self._collectives.values():
             if crun.started_at >= 0.0:
                 rem = crun.remaining - dt / crun.slowdown
@@ -696,7 +670,9 @@ class Machine:
             self._complete_collective(crun, now)
             touched.update(crun.members.keys())
 
-        for gpu_id in touched:
+        # Pump in device order: an explicit order, not the set's hash-table
+        # layout (which is ascending only while every id is below 8).
+        for gpu_id in sorted(touched):
             self._pump(self.gpus[gpu_id])
         self._reschedule()
 

@@ -182,15 +182,7 @@ class TimelineExecutor:
         called.
         """
         machine = self.machine
-        if (
-            machine.halted
-            or machine.fault_injector is not None
-            # Set iteration order over gpu ids is increasing only while the
-            # table holds ids < 8 (hash == value, 8 slots, no rehash); the
-            # completion path iterates such a set, so larger nodes take the
-            # interpreted path rather than guess at iteration order.
-            or machine.node.num_gpus > 8
-        ):
+        if machine.halted or machine.fault_injector is not None:
             return False
         if (
             self.timeline_replays >= _GATE_WARMUP
@@ -914,9 +906,7 @@ class _WindowSim:
         for crun in due_colls:
             self._complete_collective(crun, now)
             touched.update(crun.members.keys())
-        # sorted() matches the raw set iteration the machine uses: gpu ids
-        # < 8 occupy their own hash slots in value order (guarded by the
-        # num_gpus eligibility gate).
+        # Device order, as the machine's completion path pumps.
         for gpu_id in sorted(touched):
             self._pump(self.vgpus[gpu_id])
         self._reschedule()

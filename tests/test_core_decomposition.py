@@ -254,3 +254,152 @@ def test_split_piece_always_fits_window(window_frac, d):
         piece, rest = result
         assert piece.duration <= window + 1e-9
         assert piece.op.gemm_shape[2] + rest.op.gemm_shape[2] == 28672
+
+
+class TestDivisionTable:
+    """split_to_fit reads a per-shape division table; it must answer exactly
+    what re-splitting every fraction from scratch answers."""
+
+    OPS = {
+        "gemm": gemm_op("g", 0, 144, 7168, 28672),
+        "all_reduce": allreduce_op("ar", 0, 8e6),
+        "all_to_all": all_to_all_op("a2a", 0, 6e6),
+    }
+    WINDOW_FRACS = (0.0, 0.02, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 1.0, 1.5)
+    SCALES = (1.0, 1.1, 1.37)
+
+    @staticmethod
+    def _planner(profiler, d):
+        planner = DecompositionPlanner(profiler, d)
+        planner.register_split_rule("all_to_all", split_all_to_all)
+        return planner
+
+    @staticmethod
+    def _brute_force(splitter, op, d, window, scale):
+        """Re-split every fraction, largest first, on a fresh profiler."""
+        fresh = OpProfiler(v100_nvlink_node(4))
+        for numer in range(d - 1, 0, -1):
+            piece_op, rest_op = splitter(op, numer, d)
+            duration = fresh.duration(piece_op)
+            if duration * scale <= window:
+                return piece_op, duration, rest_op, fresh.duration(rest_op)
+        return None
+
+    def _assert_matches(self, planner, func, window, scale):
+        expected = self._brute_force(
+            planner.split_rule(func.op.op), func.op,
+            planner.division_factor, window, scale,
+        )
+        got = planner.split_to_fit(func, window, scale=scale)
+        if expected is None:
+            assert got is None
+            return None
+        assert got is not None
+        piece, rest = got
+        piece_op, piece_duration, rest_op, rest_duration = expected
+        assert piece.op == piece_op  # name, shape / bytes, every field
+        assert rest.op == rest_op
+        assert piece.duration == piece_duration
+        assert rest.duration == rest_duration
+        assert not piece.decomposable and rest.decomposable
+        return got
+
+    @pytest.mark.parametrize("flavour", sorted(OPS))
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_matches_brute_force_resplit(self, profiler, flavour, d):
+        planner = self._planner(profiler, d)
+        op = self.OPS[flavour]
+        whole = profiler.duration(op)
+        for scale in self.SCALES:
+            for frac in self.WINDOW_FRACS:
+                self._assert_matches(
+                    planner, kfunc(op, profiler), whole * frac, scale
+                )
+            # Windows exactly on each table entry exercise the <= boundary.
+            for _, duration in planner.profile_divisions(kfunc(op, profiler)):
+                self._assert_matches(
+                    planner, kfunc(op, profiler), duration * scale, scale
+                )
+
+    @pytest.mark.parametrize("flavour", sorted(OPS))
+    def test_remainder_chain_matches_brute_force(self, profiler, flavour):
+        # Re-splitting remainders walks fresh shapes through the table.
+        planner = self._planner(profiler, 8)
+        func = kfunc(self.OPS[flavour], profiler)
+        window = profiler.duration(func.op) * 0.3
+        for _ in range(6):
+            got = self._assert_matches(planner, func, window, 1.0)
+            if got is None or not planner.can_decompose(got[1]):
+                break
+            func = got[1]
+
+    def test_same_shape_different_names_share_table_not_names(self, profiler):
+        planner = DecompositionPlanner(profiler, 8)
+        window = profiler.duration(self.OPS["gemm"]) * 0.5
+        for name in ("first", "second"):
+            op = gemm_op(name, 3, 144, 7168, 28672)
+            piece, rest = self._assert_matches(
+                planner, kfunc(op, profiler), window, 1.0
+            )
+            assert piece.op.name.startswith(f"{name}.v")
+            assert rest.op.name == f"{name}.rest"
+            assert piece.op.layer == 3
+
+    def test_splitter_called_once_per_lookup_after_first(self, profiler):
+        calls = []
+
+        def counting(op, numer, denom):
+            calls.append(numer)
+            return split_gemm_vertical(op, numer, denom)
+
+        planner = DecompositionPlanner(profiler, 8)
+        planner.register_split_rule("gemm", counting)
+        f = kfunc(self.OPS["gemm"], profiler)
+        window = profiler.duration(f.op) * 0.5
+        assert planner.split_to_fit(f, window) is not None
+        assert len(calls) == 7 + 1  # the table, then the winning fraction
+        calls.clear()
+        piece, _ = planner.split_to_fit(f, window)
+        assert calls == [int(piece.op.name.split(".v")[1].split("/")[0])]
+        calls.clear()
+        assert planner.split_to_fit(f, 0.0) is None
+        assert calls == []
+
+    def test_register_after_lookup_never_serves_old_table(self, profiler):
+        planner = DecompositionPlanner(profiler, 8)
+        op = gemm_op("g", 0, 64, 7168, 28672)
+        window = profiler.duration(op)
+        vertical, _ = planner.split_to_fit(kfunc(op, profiler), window)
+        assert ".v" in vertical.op.name
+        planner.register_split_rule("gemm", split_gemm_horizontal)
+        piece, _ = self._assert_matches(
+            planner, kfunc(op, profiler), window, 1.0
+        )
+        assert ".h" in piece.op.name
+        assert planner.profile_divisions(kfunc(op, profiler)) == [
+            (f"{numer}/8", profiler.duration(split_gemm_horizontal(op, numer, 8)[0]))
+            for numer in range(1, 8)
+        ]
+        # Switching back rebuilds (or reuses) the vertical rule's table.
+        planner.register_split_rule("gemm", split_gemm_vertical)
+        assert self._assert_matches(
+            planner, kfunc(op, profiler), window, 1.0
+        )[0].op == vertical.op
+
+    @pytest.mark.parametrize("flavour", sorted(OPS))
+    def test_profile_divisions_agree_with_split_to_fit(self, profiler, flavour):
+        planner = self._planner(profiler, 8)
+        func = kfunc(self.OPS[flavour], profiler)
+        splitter = planner.split_rule(flavour)
+        table = dict(planner.profile_divisions(func))
+        assert list(table) == [f"{numer}/8" for numer in range(1, 8)]
+        for numer in range(1, 8):
+            label = f"{numer}/8"
+            assert table[label] == profiler.duration(splitter(func.op, numer, 8)[0])
+            # A window of exactly this division's duration returns a piece
+            # whose duration is the table's entry for the piece's label.
+            piece, _ = planner.split_to_fit(func, table[label])
+            piece_label = piece.op.name.rsplit(".", 1)[1][1:]
+            assert piece.duration == table[piece_label]
+            assert piece.duration <= table[label]
+            assert int(piece_label.split("/")[0]) >= numer

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.errors import ConfigError
-from repro.hw import InterconnectKind, nvlink_mesh, pcie_switch
+from repro.hw import InterconnectKind, Topology, nvlink_mesh, pcie_switch
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 from repro.units import GB, GBps, us
 
@@ -47,6 +48,89 @@ class TestTopology:
         t = nvlink_mesh(2)
         with pytest.raises(ConfigError):
             t.p2p_bandwidth(0, 0)
+
+
+def partial_ring(num_gpus: int = 4) -> Topology:
+    """A ring with its last link missing: 0–1–2–3, distinct link costs."""
+    g = nx.Graph()
+    g.add_nodes_from(range(num_gpus))
+    for a in range(num_gpus - 1):
+        g.add_edge(a, a + 1, bandwidth=GBps(10.0 + a), latency=us(1.0 + 0.25 * a))
+    return Topology(num_gpus=num_gpus, kind=InterconnectKind.CUSTOM, graph=g)
+
+
+TOPOLOGIES = {
+    "nvlink_mesh": lambda: nvlink_mesh(4),
+    "pcie_switch": lambda: pcie_switch(4),
+    "partial_ring": partial_ring,
+}
+
+
+class TestPairTables:
+    """Pair queries are answered from per-pair tables; every answer must be
+    what networkx gives on the graph, on the first query and every later one."""
+
+    @staticmethod
+    def _reference(topo, src, dst):
+        path = nx.shortest_path(topo.graph, src, dst)
+        hops = list(zip(path, path[1:]))
+        return (
+            path,
+            sum(topo.graph.edges[a, b]["latency"] for a, b in hops),
+            min(topo.graph.edges[a, b]["bandwidth"] for a, b in hops),
+        )
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_matches_networkx_on_every_pair(self, name):
+        topo = TOPOLOGIES[name]()
+        for _ in range(3):  # cold tables, then warm ones
+            for src in topo.gpu_ids():
+                for dst in topo.gpu_ids():
+                    if src == dst:
+                        assert topo.p2p_latency(src, dst) == 0.0
+                        continue
+                    path, latency, bandwidth = self._reference(topo, src, dst)
+                    assert topo.p2p_path(src, dst) == path
+                    assert topo.p2p_latency(src, dst) == latency
+                    assert topo.p2p_bandwidth(src, dst) == bandwidth
+
+    def test_partial_ring_routes_around_missing_link(self):
+        topo = partial_ring()
+        assert topo.p2p_path(3, 0) == [3, 2, 1, 0]
+        assert topo.p2p_bandwidth(0, 3) == GBps(10.0)
+        assert topo.p2p_latency(0, 3) == us(1.0) + us(1.25) + us(1.5)
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_out_of_range_rejected_cold_and_warm(self, name):
+        topo = TOPOLOGIES[name]()
+        for _ in range(2):
+            for bad in ((0, 4), (4, 0), (-1, 1), (1, 9)):
+                with pytest.raises(ConfigError):
+                    topo.p2p_path(*bad)
+                with pytest.raises(ConfigError):
+                    topo.p2p_latency(*bad)
+                with pytest.raises(ConfigError):
+                    topo.p2p_bandwidth(*bad)
+            topo.p2p_latency(0, 1)  # warm a pair before the second pass
+
+    def test_mutating_returned_path_does_not_leak(self):
+        topo = pcie_switch(4)
+        path = topo.p2p_path(0, 1)
+        path.append("bogus")
+        path[0] = 7
+        assert topo.p2p_path(0, 1) == [0, "switch", 1]
+        assert topo.p2p_path(0, 1) is not topo.p2p_path(0, 1)
+        assert topo.p2p_latency(0, 1) == pytest.approx(6.0)
+
+    def test_disconnected_pair_fails_at_query_time(self):
+        g = nx.Graph()
+        g.add_nodes_from(range(3))
+        g.add_edge(0, 1, bandwidth=GBps(10.0), latency=us(1.0))
+        topo = Topology(num_gpus=3, kind=InterconnectKind.CUSTOM, graph=g)
+        assert topo.p2p_latency(0, 1) == us(1.0)
+        for _ in range(2):
+            with pytest.raises(nx.NetworkXNoPath):
+                topo.p2p_latency(0, 2)
 
 
 class TestNcclConfig:

@@ -359,3 +359,46 @@ class TestAccounting:
         m.launch(s, k("a", 5.0), available_at=0.0)
         m.run()
         assert m.all_idle()
+
+
+class TestSameInstantPumpOrder:
+    """Devices touched by one completion instant are pumped in id order.
+
+    On a 16-GPU node the touched ids straddle 8, where a set of small ints
+    stops iterating in ascending order; the pump order (and with it the
+    admission order of the kernels that become ready) must not depend on
+    that layout.
+    """
+
+    def test_sixteen_gpu_pump_and_admission_order(self):
+        m = make_machine(16)
+        coll = CollectiveCostModel(m.node.topology, NcclConfig()).make_p2p(
+            4e6, 9, 3, name="p2p"
+        )
+        for g in (2, 10):
+            m.launch(m.gpu(g).stream("s0"), k(f"a{g}", coll.duration), 0.0)
+        for g in (9, 3):
+            m.launch(m.gpu(g).stream("s0"), coll.members[g], 0.0)
+        for g in (2, 3, 9, 10):
+            m.launch(m.gpu(g).stream("s0"), k(f"b{g}", 5.0), 0.0)
+
+        pumped, admitted = [], []
+        real_pump, real_admit = m._pump, m._admit
+
+        def pump(gpu):
+            pumped.append((m.engine.now, gpu.gpu_id))
+            real_pump(gpu)
+
+        def admit(gpu, rs):
+            admitted.append((m.engine.now, rs.kernel.name))
+            real_admit(gpu, rs)
+
+        m._pump, m._admit = pump, admit
+        m.run()
+
+        instant = coll.duration
+        assert [g for t, g in pumped if t == instant] == [2, 3, 9, 10]
+        assert [n for t, n in admitted if t == instant] == [
+            "b2", "b3", "b9", "b10",
+        ]
+        assert m.kernels_completed == 2 + 2 + 4

@@ -205,6 +205,35 @@ class TestBailGuards:
         counters = strat.perf_counters()
         assert counters.get("timeline_replays", 0) == 0
 
+    def test_sixteen_gpu_node_replays_bit_identically(self):
+        """The machine pumps same-instant completions in device order, so
+        nodes past 8 GPUs take the compiled path too, bit-identically."""
+        from repro.hw import v100_nvlink_node
+        from repro.models import OPT_8B
+        from repro.serving.api import make_strategy
+        from repro.serving.generation import (
+            ContinuousBatchingServer,
+            generation_workload,
+        )
+
+        def run(replay):
+            model, node = OPT_8B.scaled_layers(2), v100_nvlink_node(16)
+            strat = make_strategy(
+                "liger", model, node,
+                config=LigerConfig(enable_timeline_replay=replay),
+            )
+            srv = ContinuousBatchingServer(
+                model, node, strat, max_batch=8, pipeline_depth=2,
+                check_memory=False, record_trace=True,
+            )
+            result = srv.run(generation_workload(8, 200.0, seed=0))
+            return strat.perf_counters(), fingerprint(result.trace)
+
+        counters_on, trace_on = run(replay=True)
+        _, trace_off = run(replay=False)
+        assert counters_on["timeline_replays"] >= 1
+        assert trace_on == trace_off
+
     def test_observer_heartbeats_still_bit_identical(self):
         """Foreign low-priority events (heartbeats) force bails, not drift."""
         from repro.obs.observability import Observability
