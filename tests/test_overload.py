@@ -147,6 +147,54 @@ class TestAdmissionPolicies:
                 assert ctl.queue_depth <= cfg.max_pending_requests
 
 
+class TestOversizeArrival:
+    """An arrival larger than ``max_pending_requests`` is shed alone."""
+
+    @pytest.mark.parametrize("policy", [p.value for p in AdmissionPolicy])
+    def test_controller_keeps_the_queue(self, policy):
+        cfg = OverloadConfig(policy=policy, **TestAdmissionPolicies.CFG)
+        ctl, sunk, _, metrics = _controller(cfg)
+        ctl.on_arrival(_batch(0, 0.0))  # dispatched
+        queued = [_batch(1, 1.0, deadline=1e6), _batch(2, 2.0, deadline=2e6)]
+        for b in queued:
+            ctl.on_arrival(b)
+        giant = _batch(3, 3.0, size=3, deadline=3e6)
+        ctl.on_arrival(giant)
+        assert [r.state for r in giant.requests] == [RequestState.SHED] * 3
+        assert [b.batch_id for b in ctl._pending] == [b.batch_id for b in queued]
+        assert ctl.queue_depth == 2
+        assert metrics.shed_requests == 3
+        assert ctl.report.admitted_requests == 3
+
+    @pytest.mark.parametrize("policy", [p.value for p in AdmissionPolicy])
+    def test_static_server_keeps_the_queue(self, policy):
+        from repro.serving import GenRequest, StaticBatchingServer
+        from repro.sim.memory import activation_bytes
+
+        strat = make_strategy("intra", MODEL, NODE)
+        srv = StaticBatchingServer(
+            MODEL, NODE, strat, check_memory=False,
+            overload=OverloadConfig(max_pending_requests=2, policy=policy),
+        )
+        # Room for one single-job group at a time, so groups queue.
+        one = MODEL.kv_cache_bytes(1, 18, tp=4) + activation_bytes(MODEL, 1, 1, 4)
+        srv.memory.reserve("squeeze", srv.memory.min_available() - 1.5 * one)
+        jobs = [
+            GenRequest(rid=i, arrival=float(i), context_len=16, gen_tokens=2,
+                       deadline=1e6 * (i + 1))
+            for i in range(6)
+        ]
+        groups = [[jobs[0]], [jobs[1]], [jobs[2]], jobs[3:]]
+        for i, group in enumerate(groups):
+            srv.engine.schedule_at(
+                float(i), lambda g=group: srv._enqueue_group(g), priority=10
+            )
+        srv.session.run_machine()
+        states = [j.state for j in jobs]
+        assert states == [RequestState.COMPLETED] * 3 + [RequestState.SHED] * 3
+        assert srv.metrics.shed_requests == 3
+
+
 class TestDeadlines:
     def test_default_deadline_stamped_at_arrival(self):
         cfg = OverloadConfig(default_deadline_us=500.0, breaker_enabled=False)
