@@ -115,8 +115,8 @@ class SchedulePlanCache:
     ) -> None:
         self.gpus = list(gpus)
         self.max_entries = max_entries
-        #: The scheduling-policy id this cache serves; per-policy counter
-        #: rows are keyed by it so the cache-key dimension is observable.
+        #: The scheduling-policy id this cache serves (one per cache), so
+        #: the aggregate counters below are also its per-policy counters.
         self.policy_id = policy_id
         self._entries: "OrderedDict[Tuple, _PlanEntry]" = OrderedDict()
         self.hits = 0
@@ -128,15 +128,6 @@ class SchedulePlanCache:
         #: Wall seconds spent planning + instantiating on misses — the cost
         #: a hit avoids (exported as a perf gauge).
         self.build_seconds = 0.0
-        #: Per-policy split of hits/misses/evictions/uncacheable.
-        self.per_policy: Dict[str, Dict[str, int]] = {}
-
-    def _bump(self, counter: str) -> None:
-        row = self.per_policy.setdefault(
-            self.policy_id,
-            {"hits": 0, "misses": 0, "evictions": 0, "uncacheable": 0},
-        )
-        row[counter] += 1
 
     # ------------------------------------------------------------------
     # Fingerprinting
@@ -155,13 +146,11 @@ class SchedulePlanCache:
             sig = fv.sig
             if sig is None:
                 self.uncacheable += 1
-                self._bump("uncacheable")
                 return None
             sigs.append(sig)
         anticipator_fp = getattr(scheduler.anticipator, "fingerprint", None)
         if anticipator_fp is None:
             self.uncacheable += 1
-            self._bump("uncacheable")
             return None
         decomposer = scheduler.decomposer
         division = None if decomposer is None else decomposer.division_factor
@@ -184,11 +173,9 @@ class SchedulePlanCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            self._bump("misses")
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self._bump("hits")
         return entry
 
     def put(
@@ -213,7 +200,6 @@ class SchedulePlanCache:
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-            self._bump("evictions")
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -188,12 +188,11 @@ class InterleavedStrategy(ParallelStrategy):
                 plan_cache_entries=len(cache),
                 plan_build_seconds=cache.build_seconds,
             )
-            # Per-policy split: the policy id is a cache-key dimension, so
-            # aggregate counters alone can't attribute misses to a policy.
-            for pid in sorted(set(cache.per_policy) | {cache.policy_id}):
-                row = cache.per_policy.get(pid, {})
-                for counter in ("hits", "misses", "evictions", "uncacheable"):
-                    out[f"plan_cache_{pid}_{counter}"] = row.get(counter, 0)
+            # Per-policy rows: a cache serves the one policy it was built
+            # for, so its row is the aggregate under that policy's id.
+            pid = cache.policy_id
+            for counter in ("hits", "misses", "evictions", "uncacheable"):
+                out[f"plan_cache_{pid}_{counter}"] = getattr(cache, counter)
         return out
 
     def perf_gauge_help(self) -> dict:
@@ -205,19 +204,18 @@ class InterleavedStrategy(ParallelStrategy):
         """
         if self.runtime is None or self.runtime.plan_cache is None:
             return {}
-        cache = self.runtime.plan_cache
-        out = {}
-        for pid in sorted(set(cache.per_policy) | {cache.policy_id}):
-            out[f"plan_cache_{pid}_hits"] = (
+        pid = self.runtime.plan_cache.policy_id
+        return {
+            f"plan_cache_{pid}_hits": (
                 f"Schedule-plan cache hits under the {pid} policy."
-            )
-            out[f"plan_cache_{pid}_misses"] = (
+            ),
+            f"plan_cache_{pid}_misses": (
                 f"Schedule-plan cache misses under the {pid} policy."
-            )
-            out[f"plan_cache_{pid}_evictions"] = (
+            ),
+            f"plan_cache_{pid}_evictions": (
                 f"Schedule-plan cache evictions under the {pid} policy."
-            )
-            out[f"plan_cache_{pid}_uncacheable"] = (
+            ),
+            f"plan_cache_{pid}_uncacheable": (
                 f"Unfingerprintable planning calls under the {pid} policy."
-            )
-        return out
+            ),
+        }

@@ -206,6 +206,23 @@ class TestCountersEndToEnd:
             strat.runtime.plan_cache
         )
 
+    @pytest.mark.parametrize("policy", ["dichotomy", "expert_overlap"])
+    def test_per_policy_rows_equal_the_aggregates(self, policy):
+        # A cache serves only the policy it was built for, so its
+        # per-policy rows must repeat the aggregate counters exactly.  A
+        # tiny LRU makes the evictions row non-trivial.
+        srv, strat, jobs = self._serve(policy=policy, plan_cache_size=2)
+        srv.run(jobs)
+        counters = strat.perf_counters()
+        assert counters["plan_cache_evictions"] > 0
+        for counter in ("hits", "misses", "evictions", "uncacheable"):
+            assert (
+                counters[f"plan_cache_{policy}_{counter}"]
+                == counters[f"plan_cache_{counter}"]
+            )
+        rows = {k for k in counters if k.startswith(f"plan_cache_{policy}_")}
+        assert rows == set(strat.perf_gauge_help())
+
     def test_disabled_cache_never_builds(self):
         srv, strat, jobs = self._serve(enable_plan_cache=False)
         srv.run(jobs)
