@@ -31,6 +31,7 @@ time by (kind, op) — the segments to attack first, MPK-style.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -202,13 +203,43 @@ def _sweep_lane(rows: Sequence, t0: float, t1: float) -> Tuple[float, float, flo
     return compute, comm, idle
 
 
+class _EndIndex:
+    """Rows sorted by end time, for predecessor lookups by bisection."""
+
+    __slots__ = ("rows", "ends")
+
+    def __init__(self, rows: Sequence[_Row]) -> None:
+        # A stable sort keeps row order among equal end times.
+        self.rows = sorted(rows, key=lambda t: t.row.end)
+        self.ends = [t.row.end for t in self.rows]
+
+    def latest_before(self, limit: float, exclude: _Row) -> Optional[_Row]:
+        """The row with the latest end <= ``limit``, other than ``exclude``;
+        the first in row order among equal ends."""
+        hi = bisect_right(self.ends, limit)
+        while hi > 0:
+            lo = bisect_left(self.ends, self.ends[hi - 1], 0, hi)
+            if self.rows[lo] is not exclude:
+                return self.rows[lo]
+            if lo + 1 < hi:
+                return self.rows[lo + 1]
+            hi = lo
+        return None
+
+
 def _walk_path(tagged: List[_Row], t0: float) -> List[PathSegment]:
-    """Backward critical-path walk over every lane's rows."""
+    """Backward critical-path walk over every lane's rows.
+
+    Each hop finds its predecessor by bisection over end-time indexes
+    built once per lane and once globally, so the walk is O(n log n).
+    """
     if not tagged:
         return []
     by_lane: Dict[Tuple[str, int], List[_Row]] = {}
     for t in tagged:
         by_lane.setdefault((t.replica, t.row.gpu), []).append(t)
+    everywhere = _EndIndex(tagged)
+    lanes = {lane: _EndIndex(rows) for lane, rows in by_lane.items()}
 
     def kind_of(row) -> str:
         return "comm" if row.kind is KernelKind.COMM else "compute"
@@ -235,20 +266,14 @@ def _walk_path(tagged: List[_Row], t0: float) -> List[PathSegment]:
             break
         if row.start > row.ready + _EPS:
             # Device-gated: the lane was busy until our start.
-            pool = by_lane.get((cur.replica, row.gpu), [])
+            pool = lanes[(cur.replica, row.gpu)]
             gate = row.start
         else:
             # Input-gated: follow whatever finished last before we were
             # ready — on another GPU this is the comm/readiness edge.
-            pool = tagged
+            pool = everywhere
             gate = row.ready
-        limit = min(gate + _EPS, frontier)
-        pred: Optional[_Row] = None
-        for cand in pool:
-            if cand is cur or cand.row.end > limit:
-                continue
-            if pred is None or cand.row.end > pred.row.end:
-                pred = cand
+        pred = pool.latest_before(min(gate + _EPS, frontier), cur)
         if pred is None:
             if frontier > t0:
                 segments.append(
@@ -266,7 +291,7 @@ def _walk_path(tagged: List[_Row], t0: float) -> List[PathSegment]:
             segments.append(
                 PathSegment(
                     kind="wait",
-                    name="dependency" if pool is tagged else "device",
+                    name="dependency" if pool is everywhere else "device",
                     replica=cur.replica,
                     gpu=row.gpu,
                     start_us=pred.row.end,
