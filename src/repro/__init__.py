@@ -64,7 +64,6 @@ def __getattr__(name):
         "RunResult",
         "ServingConfig",
         "ServingSession",
-        "SubmissionPipeline",
     }:
         from repro import serving
 

@@ -34,7 +34,6 @@ from repro.cli import (
     workload_parent,
 )
 from repro.serving.api import serve
-from repro.serving.session import ServingConfig
 
 
 def main(argv=None) -> int:
@@ -100,11 +99,9 @@ def main(argv=None) -> int:
         num_requests=args.requests,
         batch_size=args.batch,
         seed=args.seed,
-        config=ServingConfig(
-            record_trace=want_trace,
-            overload=overload_config_from_args(args),
-            observability=observability,
-        ),
+        record_trace=want_trace,
+        overload=overload_config_from_args(args),
+        observability=observability,
     )
     print(result.summary())
     if result.overload is not None:

@@ -30,7 +30,6 @@ from repro.errors import ConfigError
 from repro.obs.export import validate_merged_trace
 from repro.obs.observability import Observability
 from repro.serving.api import serve
-from repro.serving.session import ServingConfig
 
 __all__ = ["main", "summarize_trace"]
 
@@ -87,11 +86,9 @@ def main(argv=None) -> int:
         num_requests=args.requests,
         batch_size=args.batch,
         seed=args.seed,
-        config=ServingConfig(
-            record_trace=True,
-            overload=overload_config_from_args(args),
-            observability=obs,
-        ),
+        record_trace=True,
+        overload=overload_config_from_args(args),
+        observability=obs,
     )
     print(result.summary())
     counts = obs.save_merged_trace(args.out, trace=result.trace)

@@ -152,7 +152,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = 0 if report.ok else 1
     else:
         from repro.serving.api import serve
-        from repro.serving.session import ServingConfig
 
         model, node = resolve_model_node(args)
         result = serve(
@@ -164,11 +163,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             num_requests=args.requests,
             batch_size=args.batch,
             seed=args.seed,
-            config=ServingConfig(
-                record_trace=True,
-                overload=overload_config_from_args(args),
-                observability=obs,
-            ),
+            record_trace=True,
+            overload=overload_config_from_args(args),
+            observability=obs,
         )
         print(result.summary())
         trace, traces = result.trace, ()

@@ -21,10 +21,9 @@ all-reduces with another's GEMMs.
 
 Both ride the :class:`~repro.serving.session.ServingSession` chassis, so
 the cross-cutting subsystems compose here exactly as on the other servers:
-pass a :class:`~repro.serving.session.ServingConfig` (or the individual
-``fault_plan``/``resilience``/``overload``/``observability`` kwargs) and a
-generation run gains fault injection with retry/degradation, bounded
-admission with deadlines, and the event bus/metrics/span exports.
+pass the ``fault_plan``/``resilience``/``overload``/``observability``
+keywords and a generation run gains fault injection with retry/degradation,
+bounded admission with deadlines, and the event bus/metrics/span exports.
 """
 
 from __future__ import annotations

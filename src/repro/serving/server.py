@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.hw.devices import NodeSpec
 from repro.models.specs import ModelSpec
-from repro.obs.events import BatchCompleted
+from repro.obs.events import BatchCompleted, RequestsAdmitted
 from repro.obs.observability import Observability
 from repro.serving.metrics import LatencyStats, ServingMetrics
 from repro.serving.overload import OverloadConfig
@@ -77,7 +77,6 @@ class Server:
         node: NodeSpec,
         strategy: ParallelStrategy,
         *,
-        config: Optional[ServingConfig] = None,
         contention: Optional[ContentionModel] = None,
         record_trace: bool = True,
         check_memory: bool = True,
@@ -87,25 +86,20 @@ class Server:
         observability: Optional[Observability] = None,
         engine: Optional["Engine"] = None,
     ) -> None:
-        config = ServingConfig.resolve(
-            config,
-            contention=contention,
-            record_trace=record_trace,
-            fault_plan=fault_plan,
-            resilience=resilience,
-            overload=overload,
-            observability=observability,
-        )
         self.session = ServingSession(
             model,
             node,
             strategy,
-            config=config,
+            config=ServingConfig(
+                contention=contention,
+                record_trace=record_trace,
+                fault_plan=fault_plan,
+                resilience=resilience,
+                overload=overload,
+                observability=observability,
+            ),
             check_memory=check_memory,
             complete_callback=self._on_batch_complete,
-            use_overload_controller=True,
-            announce_arrivals=True,
-            recovery_uses_metrics=True,
             engine=engine,
         )
         s = self.session
@@ -131,7 +125,13 @@ class Server:
         self.session.notify_complete(batch, time)
 
     def _on_arrival(self, batch: Batch) -> None:
-        """Entry point at a batch's arrival time: the submission pipeline."""
+        """Entry point at a batch's arrival time.
+
+        Without admission control every arrival is admitted, so announce it
+        here; the overload controller publishes its own verdicts.
+        """
+        if self.bus is not None and self.overload_ctl is None:
+            self.bus.publish(RequestsAdmitted.from_batch(batch, self.engine.now))
         self.session.submit(batch)
 
     def run(self, batches: Sequence[Batch]) -> ServingResult:

@@ -13,21 +13,21 @@ servers had none of it.  A :class:`ServingSession` owns all of that once:
   :class:`~repro.serving.metrics.ServingMetrics`;
 * **configuration** — one :class:`ServingConfig` bundles the cross-cutting
   knobs (``fault_plan``/``resilience``/``overload``/``observability``/
-  ``contention``/``record_trace``) that used to travel as six separate
-  keyword arguments;
-* **the submission pipeline** — the path a batch takes from arrival to the
-  strategy is an explicit chain of :class:`SubmissionStage` objects
-  (admission → dispatch bookkeeping → recovery → strategy), each with
-  ``on_arrival``/``on_complete``/``on_shed`` hooks, replacing the scattered
-  ``if self.recovery is not None`` / ``if self.bus is not None`` ladders;
+  ``contention``/``record_trace``); servers build it from their keyword
+  arguments;
+* **the submit path** — :meth:`ServingSession.submit` hands a batch to the
+  :class:`~repro.serving.overload.OverloadController` when the config
+  carries ``overload``, and otherwise straight to the dispatch step, which
+  stamps the hand-off, publishes it, and submits to the recovery layer or
+  the strategy (``submit → [controller] → dispatch → recovery | strategy``);
 * **the arm sequence** (recovery → overload → observability) and the
   drain-or-:class:`~repro.errors.DeadlockError` check with open-batch
   attribution.
 
 The zero-cost convention survives the chassis: with an empty
-:class:`ServingConfig` the pipeline contains exactly the dispatch and
-strategy stages, nothing is published, no heartbeat is armed, and the
-timeline is bit-identical to the pre-chassis servers (pinned by the golden
+:class:`ServingConfig` a submitted batch is stamped and handed to the
+strategy, nothing is published, no heartbeat is armed, and the timeline is
+bit-identical to the pre-chassis servers (pinned by the golden
 fingerprints in ``tests/golden/serving_traces.json``).
 """
 
@@ -71,18 +71,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     from repro.models.specs import ModelSpec
     from repro.parallel.base import ParallelStrategy
 
-__all__ = [
-    "ServingConfig",
-    "RunResult",
-    "SubmissionStage",
-    "AnnounceStage",
-    "AdmissionStage",
-    "DispatchStage",
-    "RecoveryStage",
-    "StrategyStage",
-    "SubmissionPipeline",
-    "ServingSession",
-]
+__all__ = ["ServingConfig", "RunResult", "ServingSession"]
 
 
 @dataclass(frozen=True)
@@ -91,9 +80,7 @@ class ServingConfig:
 
     An *empty* config (the default) arms nothing: the session it builds is
     bit-identical to a server without any of the subsystems.  Each field
-    maps to the keyword argument of the same name that the servers still
-    accept for backward compatibility; pass either the config or the
-    individual kwargs, not both.
+    maps to the server keyword argument of the same name.
     """
 
     #: Contention model for the machine; ``None`` selects the node default.
@@ -112,57 +99,6 @@ class ServingConfig:
     @property
     def wants_recovery(self) -> bool:
         return self.fault_plan is not None or self.resilience is not None
-
-    @property
-    def empty(self) -> bool:
-        """True when no cross-cutting subsystem is enabled."""
-        return (
-            self.fault_plan is None
-            and self.resilience is None
-            and self.overload is None
-            and self.observability is None
-        )
-
-    @staticmethod
-    def resolve(
-        config: Optional["ServingConfig"],
-        *,
-        contention: Optional[ContentionModel] = None,
-        record_trace: bool = False,
-        fault_plan: Optional["FaultPlan"] = None,
-        resilience: Optional["ResilienceConfig"] = None,
-        overload: Optional[OverloadConfig] = None,
-        observability: Optional[Observability] = None,
-    ) -> "ServingConfig":
-        """Fold legacy per-subsystem kwargs and ``config`` into one config.
-
-        When ``config`` is given it governs the run; mixing it with any of
-        the legacy subsystem kwargs is a :class:`~repro.errors.ConfigError`
-        (silently preferring one over the other would hide a typo).
-        """
-        if config is None:
-            return ServingConfig(
-                contention=contention,
-                record_trace=record_trace,
-                fault_plan=fault_plan,
-                resilience=resilience,
-                overload=overload,
-                observability=observability,
-            )
-        legacy = {
-            "contention": contention,
-            "fault_plan": fault_plan,
-            "resilience": resilience,
-            "overload": overload,
-            "observability": observability,
-        }
-        clashes = [name for name, value in legacy.items() if value is not None]
-        if clashes:
-            raise ConfigError(
-                "pass subsystems either via config= or as keyword arguments, "
-                f"not both (got config plus {', '.join(clashes)})"
-            )
-        return config
 
 
 @dataclass
@@ -189,193 +125,6 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# The submission pipeline
-# ----------------------------------------------------------------------
-class SubmissionStage:
-    """One stage of the submission pipeline.
-
-    A stage receives each batch on its way to the strategy via
-    :meth:`on_arrival` and hands it to ``downstream`` (the next stage) when
-    it passes.  :meth:`on_complete` and :meth:`on_shed` flow back through
-    every stage when a batch retires or is dropped downstream, so a stage
-    can release whatever it holds for the batch (dispatch slots, KV
-    charges) without the server knowing which stages exist.
-    """
-
-    name = "stage"
-
-    def __init__(self) -> None:
-        self.downstream: Optional[Callable[[Batch], None]] = None
-
-    def wire(self) -> None:
-        """Hook called once the pipeline has linked ``downstream``."""
-
-    def on_arrival(self, batch: Batch) -> None:
-        """Process one batch; the default passes it straight downstream."""
-        assert self.downstream is not None
-        self.downstream(batch)
-
-    def on_complete(self, batch: Batch, time: float) -> None:
-        """The batch retired downstream at simulated ``time``."""
-
-    def on_shed(self, batch: Batch) -> None:
-        """The batch was dropped downstream (retry exhaustion)."""
-
-
-class AnnounceStage(SubmissionStage):
-    """Publish ``RequestsAdmitted`` for servers without admission control.
-
-    Only present when a bus is attached and no :class:`AdmissionStage`
-    filters arrivals (the admission controller publishes its own verdicts).
-    """
-
-    name = "announce"
-
-    def __init__(self, engine: Engine, bus) -> None:
-        super().__init__()
-        self.engine = engine
-        self.bus = bus
-
-    def on_arrival(self, batch: Batch) -> None:
-        """Publish the admission event, then pass the batch downstream."""
-        self.bus.publish(RequestsAdmitted.from_batch(batch, self.engine.now))
-        self.downstream(batch)
-
-
-class AdmissionStage(SubmissionStage):
-    """Admission control, deadlines, KV accounting, and backpressure.
-
-    Adapts the :class:`~repro.serving.overload.OverloadController` (which
-    owns the bounded pending → staged → dispatched pipeline, the KV-cache
-    accountant, and the circuit breaker) to the stage interface.
-    """
-
-    name = "admission"
-
-    def __init__(self, controller: OverloadController) -> None:
-        super().__init__()
-        self.controller = controller
-
-    def wire(self) -> None:
-        self.controller.downstream = self.downstream
-
-    def arm(self) -> None:
-        """Start the controller's deadline sweeps and breaker timers."""
-        self.controller.arm()
-
-    def on_arrival(self, batch: Batch) -> None:
-        """Admit, queue, or shed the batch per the overload policy."""
-        self.controller.on_arrival(batch)
-
-    def on_complete(self, batch: Batch, time: float) -> None:
-        """Release the batch's KV charge and pull queued work forward."""
-        self.controller.on_complete(batch, time)
-
-    def on_shed(self, batch: Batch) -> None:
-        """Account a downstream (retry-exhaustion) shed to the controller."""
-        self.controller.on_downstream_shed(batch)
-
-
-class DispatchStage(SubmissionStage):
-    """Dispatch bookkeeping: first-hand-off stamping and bus publish.
-
-    Always present — stamping :attr:`~repro.serving.request.Request.
-    dispatched_at` is what makes pending time exact.  With
-    ``track_first=True`` (servers that re-dispatch the same request every
-    decode iteration) the published event marks only a request's *first*
-    hand-off as ``first``, so queue-wait derivations skip re-dispatches.
-    """
-
-    name = "dispatch"
-
-    def __init__(self, engine: Engine, bus=None, *, track_first: bool = False) -> None:
-        super().__init__()
-        self.engine = engine
-        self.bus = bus
-        self._dispatched_rids: Optional[set] = set() if track_first else None
-
-    def on_arrival(self, batch: Batch) -> None:
-        """Stamp the dispatch time, publish it, and pass downstream."""
-        now = self.engine.now
-        batch.mark_dispatched(now)
-        if self.bus is not None:
-            if self._dispatched_rids is None:
-                self.bus.publish(BatchDispatched.from_batch(batch, now))
-            else:
-                rids = set(r.rid for r in batch.requests)
-                first = not (rids & self._dispatched_rids)
-                self._dispatched_rids.update(rids)
-                self.bus.publish(
-                    BatchDispatched.from_batch(batch, now, first=first)
-                )
-        self.downstream(batch)
-
-
-class RecoveryStage(SubmissionStage):
-    """Route submissions through the retry/degradation policy.
-
-    Terminal when present: the :class:`~repro.faults.resilience.
-    RecoveryManager` owns the hand-off to whichever strategy is active
-    (primary or fallback).
-    """
-
-    name = "recovery"
-
-    def __init__(self, recovery: "RecoveryManager") -> None:
-        super().__init__()
-        self.recovery = recovery
-
-    def on_arrival(self, batch: Batch) -> None:
-        """Hand the batch to the recovery manager's active strategy."""
-        self.recovery.submit(batch)
-
-
-class StrategyStage(SubmissionStage):
-    """Terminal stage: hand the batch to the bound parallel strategy."""
-
-    name = "strategy"
-
-    def __init__(self, strategy: "ParallelStrategy") -> None:
-        super().__init__()
-        self.strategy = strategy
-
-    def on_arrival(self, batch: Batch) -> None:
-        """Submit the batch to the strategy at the current instant."""
-        self.strategy.submit_batch(batch)
-
-
-class SubmissionPipeline:
-    """An ordered chain of :class:`SubmissionStage` objects."""
-
-    def __init__(self, stages: List[SubmissionStage]) -> None:
-        if not stages:
-            raise ConfigError("a submission pipeline needs at least one stage")
-        self.stages = list(stages)
-        for stage, nxt in zip(self.stages, self.stages[1:]):
-            stage.downstream = nxt.on_arrival
-        for stage in self.stages:
-            stage.wire()
-
-    def submit(self, batch: Batch) -> None:
-        """Feed one batch into the head of the pipeline."""
-        self.stages[0].on_arrival(batch)
-
-    def on_complete(self, batch: Batch, time: float) -> None:
-        """Notify every stage that ``batch`` retired at ``time``."""
-        for stage in self.stages:
-            stage.on_complete(batch, time)
-
-    def on_shed(self, batch: Batch) -> None:
-        """Notify every stage that ``batch`` was dropped downstream."""
-        for stage in self.stages:
-            stage.on_shed(batch)
-
-    def describe(self) -> str:
-        """Human-readable stage order, e.g. ``admission → dispatch → strategy``."""
-        return " → ".join(stage.name for stage in self.stages)
-
-
-# ----------------------------------------------------------------------
 # The chassis
 # ----------------------------------------------------------------------
 class ServingSession:
@@ -395,25 +144,10 @@ class ServingSession:
         Registered as the strategy's (and fallback's) batch-completion
         callback.
     shed_callback:
-        Invoked — after the pipeline stages — when the recovery layer drops
-        a batch, so servers with per-batch state can clean it up.
-    use_overload_controller:
-        Build an :class:`~repro.serving.overload.OverloadController` head
-        stage from ``config.overload``.  The job-granular servers (static,
-        continuous, lifecycle) leave this off: they keep their own queues,
-        and :class:`_RequestServerBase` applies ``config.overload`` to them
-        through the same :func:`~repro.serving.overload.admission_victims`
-        decision the controller uses.
-    announce_arrivals:
-        Publish ``RequestsAdmitted`` per submitted batch when no admission
-        stage is present (the plain server's arrival semantics).
-    track_first_dispatch:
-        See :class:`DispatchStage`.
-    recovery_uses_metrics:
-        Let the recovery layer stamp shed batches into the session's
-        :class:`~repro.serving.metrics.ServingMetrics` directly.  Servers
-        whose requests outlive individual batches keep this off and do
-        their own terminal bookkeeping in ``shed_callback``.
+        Invoked when the recovery layer drops a batch, so servers with
+        per-batch state can clean it up.  Without one, the recovery layer
+        stamps shed batches into the session's
+        :class:`~repro.serving.metrics.ServingMetrics` itself.
     engine:
         Share an externally owned :class:`~repro.sim.engine.Engine` instead
         of creating a private one.  The cluster layer passes a single engine
@@ -432,10 +166,6 @@ class ServingSession:
         track_memory: Optional[bool] = None,
         complete_callback: Callable[[Batch, float], None],
         shed_callback: Optional[Callable[[Batch], None]] = None,
-        use_overload_controller: bool = False,
-        announce_arrivals: bool = False,
-        track_first_dispatch: bool = False,
-        recovery_uses_metrics: bool = False,
         engine: Optional[Engine] = None,
     ) -> None:
         if strategy.model is not model or strategy.node is not node:
@@ -478,43 +208,31 @@ class ServingSession:
                 self.host,
                 fault_plan=config.fault_plan,
                 config=config.resilience,
-                metrics=self.metrics if recovery_uses_metrics else None,
+                metrics=self.metrics if shed_callback is None else None,
                 complete_callback=complete_callback,
                 bus=self.bus,
             )
 
-        # Assemble the pipeline head → tail.
-        stages: List[SubmissionStage] = []
+        #: Requests already dispatched once; a later dispatch of any of
+        #: them publishes ``first=False`` so queue-wait derivations skip it.
+        self._dispatched_rids: set = set()
+        self._shed_callback = shed_callback
+        #: Admission control in front of dispatch, iff ``config.overload``.
         self.overload_ctl: Optional[OverloadController] = None
-        self._admission: Optional[AdmissionStage] = None
-        if use_overload_controller and config.overload is not None:
+        if config.overload is not None:
             self.overload_ctl = OverloadController(
                 config.overload,
                 model,
                 node,
                 self.engine,
                 self.metrics,
-                self._reject_unwired,
+                self._dispatch,
                 bus=self.bus,
             )
-            self._admission = AdmissionStage(self.overload_ctl)
-            stages.append(self._admission)
-        elif announce_arrivals and self.bus is not None:
-            stages.append(AnnounceStage(self.engine, self.bus))
-        stages.append(
-            DispatchStage(self.engine, self.bus, track_first=track_first_dispatch)
-        )
         if self.recovery is not None:
-            stages.append(RecoveryStage(self.recovery))
-        else:
-            stages.append(StrategyStage(strategy))
-        self.pipeline = SubmissionPipeline(stages)
-
-        if self.recovery is not None:
+            self.recovery.on_shed = self._on_recovery_shed
             if self.overload_ctl is not None:
                 self.overload_ctl.attach_recovery(self.recovery)
-            if self.overload_ctl is not None or shed_callback is not None:
-                self.recovery.on_shed = self._make_on_shed(shed_callback)
 
         if self.obs is not None:
             if config.fault_plan is not None:
@@ -528,20 +246,12 @@ class ServingSession:
             if advisor is not None and self.overload_ctl is not None:
                 self.overload_ctl.attach_advisor(advisor)
 
-    @staticmethod
-    def _reject_unwired(batch: Batch) -> None:  # pragma: no cover - guard
-        raise ConfigError("overload controller used before pipeline wiring")
-
-    def _make_on_shed(self, shed_callback):
-        """Recovery-shed fan-out: pipeline stages first, then the server."""
-        pipeline = self.pipeline
-
-        def _on_shed(batch: Batch) -> None:
-            pipeline.on_shed(batch)
-            if shed_callback is not None:
-                shed_callback(batch)
-
-        return _on_shed
+    def _on_recovery_shed(self, batch: Batch) -> None:
+        """The recovery layer dropped ``batch``: controller first, then server."""
+        if self.overload_ctl is not None:
+            self.overload_ctl.on_downstream_shed(batch)
+        if self._shed_callback is not None:
+            self._shed_callback(batch)
 
     # ------------------------------------------------------------------
     # Observability wiring
@@ -617,19 +327,42 @@ class ServingSession:
     # Run control
     # ------------------------------------------------------------------
     def submit(self, batch: Batch) -> None:
-        """Feed one batch into the submission pipeline."""
-        self.pipeline.submit(batch)
+        """Admit ``batch`` through the overload controller, or dispatch it."""
+        if self.overload_ctl is not None:
+            self.overload_ctl.on_arrival(batch)
+        else:
+            self._dispatch(batch)
+
+    def _dispatch(self, batch: Batch) -> None:
+        """Stamp the hand-off, publish it, and submit downstream.
+
+        Stamping :attr:`~repro.serving.request.Request.dispatched_at` is
+        what makes pending time exact.  The recovery layer, when armed,
+        owns the hand-off to whichever strategy is active.
+        """
+        now = self.engine.now
+        batch.mark_dispatched(now)
+        if self.bus is not None:
+            rids = {r.rid for r in batch.requests}
+            first = rids.isdisjoint(self._dispatched_rids)
+            self._dispatched_rids |= rids
+            self.bus.publish(BatchDispatched.from_batch(batch, now, first=first))
+        if self.recovery is not None:
+            self.recovery.submit(batch)
+        else:
+            self.strategy.submit_batch(batch)
 
     def notify_complete(self, batch: Batch, time: float) -> None:
-        """Flow a downstream completion back through the pipeline stages."""
-        self.pipeline.on_complete(batch, time)
+        """Release the batch's admission charges once it retired downstream."""
+        if self.overload_ctl is not None:
+            self.overload_ctl.on_complete(batch, time)
 
     def arm(self) -> None:
         """The arm sequence: recovery → overload → observability."""
         if self.recovery is not None:
             self.recovery.arm()
-        if self._admission is not None:
-            self._admission.arm()
+        if self.overload_ctl is not None:
+            self.overload_ctl.arm()
         if self.obs is not None:
             self.obs.arm(self.engine)
 
@@ -709,7 +442,6 @@ class _RequestServerBase:
         node,
         strategy,
         *,
-        config: Optional[ServingConfig] = None,
         contention: Optional[ContentionModel] = None,
         record_trace: bool = False,
         check_memory: bool = True,
@@ -718,29 +450,26 @@ class _RequestServerBase:
         overload: Optional[OverloadConfig] = None,
         observability: Optional[Observability] = None,
     ) -> None:
-        config = ServingConfig.resolve(
-            config,
-            contention=contention,
-            record_trace=record_trace,
-            fault_plan=fault_plan,
-            resilience=resilience,
-            overload=overload,
-            observability=observability,
-        )
         # The strategy's per-batch accounting would re-reserve the KV cache
         # for every iteration; these servers hold memory per sequence or
         # group, so they own the memory model instead (track_memory=False
-        # at bind time).
+        # at bind time).  ``overload`` stays here: it governs the job queue,
+        # so the session builds no controller.
         self.session = ServingSession(
             model,
             node,
             strategy,
-            config=config,
+            config=ServingConfig(
+                contention=contention,
+                record_trace=record_trace,
+                fault_plan=fault_plan,
+                resilience=resilience,
+                observability=observability,
+            ),
             check_memory=check_memory,
             track_memory=False,
             complete_callback=self._on_batch_complete,
             shed_callback=self._on_shed,
-            track_first_dispatch=True,
         )
         s = self.session
         self.model = model
@@ -758,7 +487,7 @@ class _RequestServerBase:
         #: Tokens served: submitted iteration tokens on the generation
         #: servers, decoded tokens on the lifecycle server.
         self.total_tokens = 0
-        self.overload = config.overload
+        self.overload = overload
         self._admitted = 0
         self._peak_pending = 0
 

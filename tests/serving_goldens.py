@@ -88,7 +88,7 @@ def run_scenario(
     identically to the committed golden.  ``liger_config`` pins an
     explicit :class:`~repro.core.LigerConfig` instead of the cache_off
     presets (the timeline-replay equivalence matrix builds its own);
-    ``config`` in ``**extra`` stays the *server's* ServingConfig.
+    ``**extra`` goes to the server constructor.
     """
     reset_batch_ids()
     model, node = _model_node()

@@ -101,6 +101,46 @@ class TestServingCli:
         assert "64 reqs" in capsys.readouterr().out
 
 
+class TestObservabilityCliServePaths:
+    """The single-node serve paths of ``trace`` and ``telemetry``."""
+
+    def test_trace_cli_writes_valid_merged_trace(self, capsys, tmp_path):
+        from repro.obs.cli import main
+        from repro.obs.export import validate_merged_trace
+
+        out = tmp_path / "cli-trace.json"
+        metrics = tmp_path / "cli-metrics.prom"
+        rc = main([
+            "--strategy", "intra", "--rate", "40", "--requests", "8",
+            "--out", str(out), "--metrics-out", str(metrics),
+        ])
+        assert rc == 0
+        assert out.exists() and metrics.exists()
+        counts = validate_merged_trace(json.loads(out.read_text()))
+        assert counts["kernel"] > 0 and counts["span"] > 0
+        assert "repro_" in metrics.read_text()
+        assert "8 reqs" in capsys.readouterr().out
+
+    def test_telemetry_cli_single_replica(self, capsys, tmp_path):
+        from repro.obs.export import validate_merged_trace
+        from repro.obs.telemetry_cli import main
+
+        timeline = tmp_path / "timeline.json"
+        metrics = tmp_path / "metrics.prom"
+        series = tmp_path / "series.json"
+        rc = main([
+            "--strategy", "intra", "--rate", "40", "--requests", "8",
+            "--timeline", str(timeline), "--metrics-out", str(metrics),
+            "--series-out", str(series),
+        ])
+        assert rc == 0
+        assert timeline.exists() and metrics.exists() and series.exists()
+        counts = validate_merged_trace(json.loads(timeline.read_text()))
+        assert counts["kernel"] > 0
+        assert json.loads(series.read_text())["windows"]
+        assert "8 reqs" in capsys.readouterr().out
+
+
 class TestExperimentsCli:
     def test_table1(self, capsys):
         from repro.experiments.__main__ import main

@@ -232,7 +232,6 @@ class TestCountersEndToEnd:
     def test_perf_gauges_in_prometheus_export(self):
         """Satellite: the ``repro_perf_*`` section rides observability."""
         from repro.obs import Observability
-        from repro.serving import ServingConfig
 
         from repro.core import LigerConfig
         from repro.hw import v100_nvlink_node
@@ -252,7 +251,7 @@ class TestCountersEndToEnd:
         srv = ContinuousBatchingServer(
             model, node, strat, max_batch=4, pipeline_depth=2,
             check_memory=False,
-            config=ServingConfig(observability=obs, record_trace=False),
+            observability=obs, record_trace=False,
         )
         srv.run(jobs)
         text = obs.to_prometheus()
@@ -267,7 +266,6 @@ class TestCountersEndToEnd:
     def test_intra_strategy_exports_no_perf_gauges(self):
         """Duck-typing: strategies without perf_counters stay gauge-free."""
         from repro.obs import Observability
-        from repro.serving import ServingConfig
 
         from repro.hw import v100_nvlink_node
         from repro.models import MODELS
@@ -284,7 +282,7 @@ class TestCountersEndToEnd:
         srv = ContinuousBatchingServer(
             model, node, strat, max_batch=4, pipeline_depth=2,
             check_memory=False,
-            config=ServingConfig(observability=obs, record_trace=False),
+            observability=obs, record_trace=False,
         )
         srv.run(jobs)
         assert "repro_perf_" not in obs.to_prometheus()

@@ -33,6 +33,7 @@ from repro.serving import (
     generation_workload,
 )
 from repro.serving.api import make_strategy
+from repro.serving.request import Batch, Request
 from repro.serving.session import ServingSession
 from serving_goldens import (
     GOLDEN_PATH,
@@ -64,30 +65,13 @@ class TestGoldenEquivalence:
             "golden — the zero-cost convention is broken"
         )
 
-    def test_explicit_empty_config_matches_golden(self):
-        """Passing config= explicitly takes the same zero-cost path."""
-        goldens = _load_goldens()
-        _, trace = run_scenario(
-            "continuous", "liger", config=ServingConfig(record_trace=True)
-        )
-        assert fingerprint(trace) == goldens["continuous/liger"]
-
-    def test_config_and_legacy_kwargs_clash(self):
-        strat = make_strategy("intra", MODEL, NODE)
-        with pytest.raises(ConfigError, match="not both"):
-            ContinuousBatchingServer(
-                MODEL, NODE, strat,
-                config=ServingConfig(),
-                observability=Observability(),
-                check_memory=False,
-            )
-
 
 # ----------------------------------------------------------------------
 # The chassis itself
 # ----------------------------------------------------------------------
 class TestServingSession:
-    def test_pipeline_stage_order_plain(self):
+    def test_plain_session_dispatches_straight_to_strategy(self):
+        """Empty config: the strategy gets the batch stamped; no bus exists."""
         strat = make_strategy("intra", MODEL, NODE)
         session = ServingSession(
             MODEL, NODE, strat,
@@ -95,27 +79,43 @@ class TestServingSession:
             check_memory=False,
             complete_callback=lambda b, t: None,
         )
-        assert session.pipeline.describe() == "dispatch → strategy"
+        received = []
+        strat.submit_batch = received.append
+        batch = Batch([Request(rid=0, arrival=0.0, seq_len=16)])
+        session.engine.schedule_at(7.0, lambda: session.submit(batch))
+        session.engine.run()
+        assert received == [batch]
+        assert batch.requests[0].dispatched_at == 7.0
+        assert session.bus is None
+        assert session.overload_ctl is None and session.recovery is None
 
-    def test_pipeline_stage_order_fully_armed(self):
+    def test_armed_session_routes_arrival_through_controller_to_recovery(self):
+        """Overload + faults + obs: the controller admits, recovery submits."""
         from repro.serving.overload import OverloadConfig
 
+        obs = Observability()
         strat = make_strategy("intra", MODEL, NODE)
         session = ServingSession(
             MODEL, NODE, strat,
             config=ServingConfig(
                 fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1.0)]),
                 overload=OverloadConfig(),
-                observability=Observability(),
+                observability=obs,
             ),
             check_memory=False,
             complete_callback=lambda b, t: None,
-            use_overload_controller=True,
-            recovery_uses_metrics=True,
         )
-        assert session.pipeline.describe() == "admission → dispatch → recovery"
         assert session.recovery is not None
         assert session.overload_ctl is not None
+        received = []
+        session.recovery.submit = received.append
+        batch = Batch([Request(rid=0, arrival=0.0, seq_len=16)])
+        session.submit(batch)
+        assert received == [batch]
+        assert session.overload_ctl.report.admitted_requests == 1
+        assert batch.requests[0].dispatched_at == 0.0
+        kinds = [type(e).__name__ for e in obs.bus.events]
+        assert kinds == ["RequestsAdmitted", "BatchDispatched"]
 
     def test_strategy_mismatch_rejected(self):
         other = MODELS["OPT-13B"].scaled_layers(4)
@@ -138,7 +138,7 @@ class TestContinuousBatchingCapabilities:
         strat = make_strategy("liger", MODEL, NODE)
         srv = ContinuousBatchingServer(
             MODEL, NODE, strat, max_batch=8, pipeline_depth=2,
-            check_memory=False, config=ServingConfig(**cfg_kwargs),
+            check_memory=False, **cfg_kwargs,
         )
         return srv.run(jobs)
 
@@ -232,9 +232,7 @@ class TestStaticBatchingCapabilities:
         strat = make_strategy("intra", MODEL, NODE)
         srv = StaticBatchingServer(
             MODEL, NODE, strat, batch_size=4, check_memory=False,
-            config=ServingConfig(
-                overload=OverloadConfig(max_pending_requests=4, policy="reject")
-            ),
+            overload=OverloadConfig(max_pending_requests=4, policy="reject"),
         )
         result = srv.run(jobs)
         assert result.overload is not None
@@ -249,11 +247,9 @@ class TestStaticBatchingCapabilities:
         strat = make_strategy("intra", MODEL, NODE)
         srv = StaticBatchingServer(
             MODEL, NODE, strat, batch_size=4, check_memory=False,
-            config=ServingConfig(
-                fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1e12)]),
-                resilience=ResilienceConfig(
-                    max_retries=1, enable_fallback=False, enable_watchdog=False
-                ),
+            fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1e12)]),
+            resilience=ResilienceConfig(
+                max_retries=1, enable_fallback=False, enable_watchdog=False
             ),
         )
         result = srv.run(jobs)
@@ -274,10 +270,8 @@ class TestLifecycleZeroCompletion:
         strat = make_strategy("intra", MODEL, NODE)
         srv = LifecycleServer(
             MODEL, NODE, strat, prefill_batch=2, check_memory=False,
-            config=ServingConfig(
-                overload=OverloadConfig(
-                    max_pending_requests=64, default_deadline_us=1.0
-                )
+            overload=OverloadConfig(
+                max_pending_requests=64, default_deadline_us=1.0
             ),
         )
         result = srv.run(chats)

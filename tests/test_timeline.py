@@ -237,17 +237,16 @@ class TestBailGuards:
     def test_observer_heartbeats_still_bit_identical(self):
         """Foreign low-priority events (heartbeats) force bails, not drift."""
         from repro.obs.observability import Observability
-        from repro.serving.session import ServingConfig
 
         _, trace_on = run_scenario(
             "continuous", "liger",
             liger_config=_config("dichotomy", caches=True, replay=True),
-            config=ServingConfig(observability=Observability(), record_trace=True),
+            observability=Observability(),
         )
         _, trace_off = run_scenario(
             "continuous", "liger",
             liger_config=_config("dichotomy", caches=True, replay=False),
-            config=ServingConfig(observability=Observability(), record_trace=True),
+            observability=Observability(),
         )
         assert fingerprint(trace_on) == fingerprint(trace_off)
 
@@ -396,7 +395,6 @@ class TestGaugeExport:
     def test_timeline_gauges_in_prometheus_export(self):
         """Satellite: timeline + fanout counters ride the repro_perf_* section."""
         from repro.obs import Observability
-        from repro.serving import ServingConfig
 
         from repro.hw import v100_nvlink_node
         from repro.models import MODELS
@@ -412,7 +410,7 @@ class TestGaugeExport:
         srv = ContinuousBatchingServer(
             model, node, strat, max_batch=4, pipeline_depth=2,
             check_memory=False,
-            config=ServingConfig(observability=obs, record_trace=False),
+            observability=obs, record_trace=False,
         )
         srv.run(generation_workload(
             12, 1200.0, context_len=16, gen_tokens=(1, 1), seed=0
@@ -437,7 +435,6 @@ class TestGaugeExport:
         reader defaults missing counters to zero — same contract as the
         disabled plan cache)."""
         from repro.obs import Observability
-        from repro.serving import ServingConfig
 
         from repro.hw import v100_nvlink_node
         from repro.models import MODELS
@@ -456,7 +453,7 @@ class TestGaugeExport:
         srv = ContinuousBatchingServer(
             model, node, strat, max_batch=4, pipeline_depth=2,
             check_memory=False,
-            config=ServingConfig(observability=obs, record_trace=False),
+            observability=obs, record_trace=False,
         )
         srv.run(generation_workload(6, 400.0, seed=0))
         text = obs.to_prometheus()
