@@ -41,7 +41,8 @@ class ContentionModel:
     #: memoize slowdown vectors by resident *shape* (identical shapes recur
     #: endlessly under steady-state decode) instead of recomputing on every
     #: resident-set change.  Leave False in a subclass that reads any other
-    #: kernel attribute — the machine then only uses its per-epoch cache.
+    #: kernel attribute — the machine then calls the model once per
+    #: resident-set change of a device holding two or more kernels.
     pure_in_shape = False
 
     def slowdowns(self, resident: Iterable[Kernel]) -> Dict[int, float]:

@@ -16,7 +16,8 @@ depends on:
   lag.
 * **Emergent contention** — kernel progress is integrated piecewise: whenever
   any device's resident set changes, elapsed progress is banked at the old
-  rates and per-kernel slowdowns are recomputed from the
+  rates and, once per event callback, the changed devices' per-kernel
+  slowdowns are recomputed from the
   :class:`~repro.sim.contention.ContentionModel`.
 * **Collective rendezvous** — a collective's member kernels occupy SMs from
   the moment they are admitted (NCCL kernels spin while waiting for peers),
@@ -55,9 +56,6 @@ _LAUNCH = CommandKind.LAUNCH
 _RECORD_EVENT = CommandKind.RECORD_EVENT
 _WAIT_EVENT = CommandKind.WAIT_EVENT
 
-#: Shared empty slowdown map for devices with nothing resident.
-_NO_SLOWDOWNS: Dict[int, float] = {}
-
 
 @dataclass(slots=True)
 class _RunState:
@@ -71,6 +69,10 @@ class _RunState:
     start_at: float = -1.0
     remaining: float = 0.0
     slowdown: float = 1.0
+    #: Clamped (>= 1.0) contention-model factor while resident; stamped by
+    #: Machine._reschedule when the device's resident set changed.  Fault
+    #: inflation is layered on top per reschedule and never stored here.
+    contention: float = 1.0
     # Accumulated (stretched-time, no-load-time) for average-slowdown stats.
     stretched: float = 0.0
 
@@ -104,9 +106,11 @@ class Gpu:
         #: Non-collective residents in admission order — the progress
         #: integrator iterates this instead of re-filtering ``resident``.
         self.active_local: Dict[int, _RunState] = {}
-        #: Bumped on every admit/release; keys the machine's per-device
-        #: contention-slowdown cache.
+        #: Bumped on every admit/release.
         self.resident_epoch = 0
+        #: The ``resident_epoch`` the residents' ``contention`` factors were
+        #: last stamped at; a mismatch makes the next reschedule re-stamp.
+        self.rates_epoch = -1
 
     def stream(self, name: str, priority: int = 0) -> Stream:
         """Get-or-create the stream named ``name`` on this device.
@@ -191,13 +195,9 @@ class Machine:
         self.fault_injector = None
         self.gpus: List[Gpu] = [Gpu(i, self) for i in range(node.num_gpus)]
         self._collectives: Dict[int, _CollectiveRun] = {}
-        #: Per-device contention slowdown maps, keyed by ``resident_epoch``.
-        #: Valid because contention models are pure functions of the resident
-        #: kernel set (fault inflation is layered on top, never cached).
-        self._slowdown_cache: Dict[int, tuple] = {}
         #: Shape-keyed slowdown vectors (see ContentionModel.pure_in_shape):
         #: steady-state decode re-creates the same resident shapes with fresh
-        #: kernel uids, so the epoch cache alone misses constantly.
+        #: kernel uids, so most re-stamps skip the model.
         self._shape_cache: Dict[tuple, tuple] = {}
         self._contention_pure_in_shape = bool(
             getattr(self.contention, "pure_in_shape", False)
@@ -379,14 +379,16 @@ class Machine:
         self._pump_scheduled[gpu_id] = False
         if self.halted:
             return
-        self._pump(self.gpus[gpu_id])
+        if self._pump(self.gpus[gpu_id]):
+            self._reschedule()
 
-    def _pump(self, gpu: Gpu) -> None:
+    def _pump(self, gpu: Gpu) -> bool:
         """Advance every stream on ``gpu`` as far as dependencies allow.
 
         The sweep processes at most one command per stream per pass — the
         per-pass round-robin is load-bearing, because ``ready_seq`` (and
-        with it same-instant admission order) follows pop order.
+        with it same-instant admission order) follows pop order.  Returns
+        whether a kernel was admitted; the event callback then reschedules.
         """
         now = self.engine.now
         threshold = now + _EPS
@@ -444,7 +446,8 @@ class Machine:
                         stream.blocked_on_event = event
                         event.add_stream_waiter(self._kick_pump_fns[gpu.gpu_id])
         if became_ready or gpu.ready:
-            self._try_admit(gpu)
+            return self._try_admit(gpu)
+        return False
 
     def _deferred(self, delay: float, callback: Callable[[], None]) -> None:
         """Deferred-call hook handed to CudaEvent.record."""
@@ -468,9 +471,9 @@ class Machine:
             rs.ready_seq,
         )
 
-    def _try_admit(self, gpu: Gpu) -> None:
+    def _try_admit(self, gpu: Gpu) -> bool:
         if not gpu.ready:
-            return
+            return False
         self._bank_progress()
         admitted_any = False
         gpu.ready.sort(key=self._admission_key)
@@ -482,8 +485,7 @@ class Machine:
             else:
                 still_ready.append(rs)
         gpu.ready = still_ready
-        if admitted_any:
-            self._reschedule()
+        return admitted_any
 
     def _admit(self, gpu: Gpu, rs: _RunState) -> None:
         now = self.engine.now
@@ -533,18 +535,21 @@ class Machine:
                 crun.stretched += dt
         self._last_bank_time = now
 
-    def _gpu_slowdowns(self, gpu: Gpu) -> Dict[int, float]:
-        """Contention map for one device, cached per resident-set epoch.
+    def _stamp_contention(self, resident: Dict[int, _RunState]) -> None:
+        """Stamp every resident's clamped (>= 1.0) contention factor.
 
-        When the model declares shape purity, the slowdown *vector* is
-        additionally memoized by the resident kernels' shapes — new uids
-        with recurring shapes (the steady-decode pattern) skip the model
-        entirely and just re-key the cached floats.
+        A lone kernel is 1.0 by the ContentionModel contract and skips the
+        model.  When the model declares shape purity, the slowdown *vector*
+        is memoized by the resident kernels' shapes — new uids with
+        recurring shapes (the steady-decode pattern) skip the model too.
+        The clamp defends against custom models that would accelerate
+        kernels.
         """
-        cached = self._slowdown_cache.get(gpu.gpu_id)
-        if cached is not None and cached[0] == gpu.resident_epoch:
-            return cached[1]
-        kernels = [rs.kernel for rs in gpu.resident.values()]
+        if len(resident) == 1:
+            for rs in resident.values():
+                rs.contention = 1.0
+            return
+        kernels = [rs.kernel for rs in resident.values()]
         if self._contention_pure_in_shape and self.slowdown_memo:
             shape = tuple(
                 (k.kind, k.occupancy, k.memory_intensity) for k in kernels
@@ -552,21 +557,17 @@ class Machine:
             values = self._shape_cache.get(shape)
             if values is None:
                 per_kernel = self.contention.slowdowns(kernels)
-                self._shape_cache[shape] = tuple(
-                    per_kernel[k.uid] for k in kernels
-                )
+                values = tuple(per_kernel[k.uid] for k in kernels)
+                self._shape_cache[shape] = values
                 if len(self._shape_cache) > 8192:
                     # Unbounded shape diversity (e.g. a bursty prefill mix)
                     # must not leak; recurring shapes repopulate quickly.
                     self._shape_cache.clear()
-            else:
-                per_kernel = {
-                    k.uid: v for k, v in zip(kernels, values)
-                }
         else:
             per_kernel = self.contention.slowdowns(kernels)
-        self._slowdown_cache[gpu.gpu_id] = (gpu.resident_epoch, per_kernel)
-        return per_kernel
+            values = [per_kernel.get(k.uid, 1.0) for k in kernels]
+        for rs, slow in zip(resident.values(), values):
+            rs.contention = 1.0 if slow < 1.0 else slow
 
     def refresh_rates(self) -> None:
         """Re-bank progress and recompute slowdowns at the current instant.
@@ -584,35 +585,26 @@ class Machine:
     def _reschedule(self) -> None:
         """Recompute rates and (re)arm the single completion timer.
 
-        One fused pass over the active sets: per-kernel contention slowdowns
-        (cached per device epoch), the ≥ 1.0 clamp (a contention model may
-        never accelerate kernels — defends against custom models), fault
-        inflation, and the min-scan for the next completion instant.  These
-        used to be three separate walks; this is the hottest path in the
-        simulator under steady-state decode.
+        Called once per engine callback that changed a resident set (and at
+        fault-window boundaries via :meth:`refresh_rates`); no simulated
+        time passes inside a callback, so intermediate rates would be
+        overwritten before any :meth:`_bank_progress` read them.  Only a
+        device whose resident set changed since its last stamp
+        (``rates_epoch != resident_epoch``) is re-stamped; every active
+        kernel then gets its stored contention times the fault inflation,
+        in the same pass as the min-scan for the next completion instant.
         """
-        # Per-device maps are consulted in place (uids are globally unique,
-        # so the old merged dict was pure overhead); ``maps`` is kept for the
-        # collective loop, whose members span devices.
         inj = self.fault_injector
-        cache = self._slowdown_cache
-        maps: List[Dict[int, float]] = []
+        stamp = self._stamp_contention
         next_dt: Optional[float] = None
         for gpu in self.gpus:
             if not gpu.resident:
-                maps.append(_NO_SLOWDOWNS)
                 continue
-            cached = cache.get(gpu.gpu_id)
-            if cached is not None and cached[0] == gpu.resident_epoch:
-                per_kernel = cached[1]
-            else:
-                per_kernel = self._gpu_slowdowns(gpu)
-            maps.append(per_kernel)
-            get_slow = per_kernel.get
+            if gpu.rates_epoch != gpu.resident_epoch:
+                gpu.rates_epoch = gpu.resident_epoch
+                stamp(gpu.resident)
             for rs in gpu.active_local.values():
-                slow = get_slow(rs.kernel.uid, 1.0)
-                if slow < 1.0:
-                    slow = 1.0
+                slow = rs.contention
                 if inj is not None:
                     slow *= inj.kernel_inflation(rs.kernel, rs.gpu_id)
                 rs.slowdown = slow
@@ -624,9 +616,7 @@ class Machine:
                 continue
             slow = None
             for gid, rs in crun.members.items():
-                member = maps[gid].get(rs.kernel.uid, 1.0)
-                if member < 1.0:
-                    member = 1.0
+                member = rs.contention
                 if inj is not None:
                     member *= inj.kernel_inflation(rs.kernel, gid)
                 if slow is None or member > slow:

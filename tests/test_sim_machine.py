@@ -13,6 +13,7 @@ import pytest
 from repro.errors import DeadlockError, StreamProtocolError
 from repro.hw import v100_nvlink_node
 from repro.sim import (
+    ContentionModel,
     CudaEvent,
     Engine,
     Kernel,
@@ -387,7 +388,7 @@ class TestSameInstantPumpOrder:
 
         def pump(gpu):
             pumped.append((m.engine.now, gpu.gpu_id))
-            real_pump(gpu)
+            return real_pump(gpu)
 
         def admit(gpu, rs):
             admitted.append((m.engine.now, rs.kernel.name))
@@ -402,3 +403,125 @@ class TestSameInstantPumpOrder:
             "b2", "b3", "b9", "b10",
         ]
         assert m.kernels_completed == 2 + 2 + 4
+
+
+# ----------------------------------------------------------------------
+# Rate recomputation: once per callback, only for changed devices
+# ----------------------------------------------------------------------
+class CountingContention(ContentionModel):
+    """Records each call's resident count; co-resident kernels run 1.5x."""
+
+    pure_in_shape = True
+
+    def __init__(self):
+        self.sizes = []
+
+    def slowdowns(self, resident):
+        kernels = list(resident)
+        self.sizes.append(len(kernels))
+        slow = 1.5 if len(kernels) > 1 else 1.0
+        return {kern.uid: slow for kern in kernels}
+
+
+class PairContention(ContentionModel):
+    """Co-resident compute kernels run 1.5x slower, comm kernels 1.25x."""
+
+    pure_in_shape = True
+
+    def slowdowns(self, resident):
+        kernels = list(resident)
+        if len(kernels) < 2:
+            return {kern.uid: 1.0 for kern in kernels}
+        return {
+            kern.uid: 1.25 if kern.kind.is_comm else 1.5 for kern in kernels
+        }
+
+
+class TestRateCoalescing:
+    def test_collective_completion_reschedules_once(self):
+        """Pumping four touched devices admits four kernels, yet the
+        completion callback recomputes rates and re-arms the timer once."""
+        m = make_machine(4)
+        coll = CollectiveCostModel(m.node.topology, NcclConfig()).make_allreduce(
+            1e6, [0, 1, 2, 3]
+        )
+        for g in range(4):
+            s = m.gpu(g).stream("s0")
+            m.launch(s, coll.members[g], 0.0)
+            m.launch(s, k(f"b{g}", 5.0), 0.0)
+
+        calls = [0]
+        per_timer = []
+        real_reschedule, real_timer = m._reschedule, m._on_completion_timer
+
+        def reschedule():
+            calls[0] += 1
+            real_reschedule()
+
+        def timer():
+            calls[0] = 0
+            real_timer()
+            live = [
+                e for e in m.engine._heap
+                if not e[3].cancelled and e[3].callback is timer
+            ]
+            per_timer.append((m.engine.now, calls[0], len(live)))
+
+        m._reschedule, m._on_completion_timer = reschedule, timer
+        m.run()
+
+        d = coll.duration
+        assert per_timer == [(d, 1, 1), (d + 5.0, 1, 0)]
+        assert m.kernels_completed == 8
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["memo_off", "memo_on"])
+    def test_model_called_once_per_shared_resident_set(self, memo):
+        """A lone kernel never reaches the model; a release and an
+        admission in one callback are one resident-set change."""
+        model = CountingContention()
+        m = make_machine(1, contention=model)
+        m.slowdown_memo = memo
+        s0, s1 = m.gpu(0).stream("s0"), m.gpu(0).stream("s1")
+        m.launch(s0, k("a", 10.0, occ=0.4), 0.0)
+        m.launch(s0, k("c", 10.0, occ=0.4), 0.0)
+        m.launch(s1, k("b", 20.0, occ=0.4), 5.0)
+        m.run()
+        # {a,b} at t=5, then {b,c} at a's completion; with the memo on the
+        # second set has the first one's shape and skips the model.
+        assert model.sizes == ([2] if memo else [2, 2])
+        # a: 5 us solo + 5 us at 1.5x -> 12.5.  b banks 7.5/1.5 = 5 us by
+        # then, c runs 10 us at 1.5x -> 27.5; b's last 5 us run solo.
+        ends = {r.name: r.end for r in m.trace.rows}
+        assert ends == {
+            "a": pytest.approx(12.5),
+            "c": pytest.approx(27.5),
+            "b": pytest.approx(32.5),
+        }
+
+    def test_straggler_inflates_contended_compute_not_comm(self):
+        """Fault inflation multiplies the stored contention factor of the
+        compute kernel only; the collective runs at its member's 1.25x."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, GpuStraggler
+
+        m = make_machine(2, contention=PairContention())
+        FaultInjector(
+            FaultPlan([GpuStraggler(start=0.0, end=1e6, gpu=0, factor=4.0)])
+        ).arm(m)
+        coll = CollectiveCostModel(m.node.topology, NcclConfig()).make_allreduce(
+            1e6, [0, 1]
+        )
+        m.launch(m.gpu(0).stream("c"), k("x", 30.0, occ=0.5), 0.0)
+        for g in (0, 1):
+            m.launch(m.gpu(g).stream("n"), coll.members[g], 0.0)
+        m.run()
+
+        d = coll.duration
+        t_coll = 1.25 * d  # member on GPU 0 contends; comm is not inflated
+        assert t_coll < 30.0 * 1.5 * 4.0  # the collective retires first
+        # x runs at 1.5 * 4 = 6x until then, at 4x (alone) afterwards.
+        t_x = t_coll + 4.0 * (30.0 - t_coll / 6.0)
+        ends = {(r.name, r.gpu): r.end for r in m.trace.rows}
+        assert ends[("x", 0)] == pytest.approx(t_x)
+        comm_ends = [end for (name, _), end in ends.items() if name != "x"]
+        assert comm_ends == [pytest.approx(t_coll)] * 2

@@ -391,6 +391,55 @@ class TestAnchorSurvivorTie:
         assert rows_fast == rows_interp
 
 
+class TestUnchangedContendedDevice:
+    """A device whose resident set does not change in-window keeps its
+    contention stamp across the window: the clones carry each resident's
+    factor and the commit installs the device's stamp epoch, so its two
+    co-resident kernels keep their >1 slowdown through and after the
+    batched advance.
+    """
+
+    def _run(self, fast):
+        from repro.hw import v100_nvlink_node
+        from repro.sim import CudaEvent, DefaultContention, Engine, Machine, Trace
+        from repro.sim.timeline import TimelineExecutor
+
+        machine = Machine(
+            v100_nvlink_node(2), Engine(),
+            contention=DefaultContention(), trace=Trace(),
+        )
+        # Built before any submission so submit-time pumps are tracked.
+        ex = TimelineExecutor(machine) if fast else None
+        machine.launch(
+            machine.gpu(1).stream("b0"), _kernel("long0", 100.0), 0.0
+        )
+        machine.launch(
+            machine.gpu(1).stream("b1"), _kernel("long1", 120.0), 0.0
+        )
+        machine.run(until=1.0)
+        gpu1 = machine.gpu(1)
+        assert len(gpu1.resident) == 2
+        assert all(rs.contention > 1.0 for rs in gpu1.resident.values())
+
+        anchors = []
+        a0 = machine.gpu(0).stream("a0")
+        pre_kick = CudaEvent("prekick")
+        pre_kick.on_host(lambda: anchors.append(machine.engine.now), delay=0.5)
+        machine.launch(a0, _kernel("k0", 10.0), available_at=1.0)
+        machine.record_event(a0, pre_kick, available_at=1.0)
+        if ex is not None:
+            assert ex.fast_forward(pre_kick) is True
+            assert ex.timeline_replays == 1
+        machine.run()
+        return _rows(machine), anchors
+
+    def test_committed_window_keeps_contention(self):
+        rows_fast, anchors_fast = self._run(fast=True)
+        rows_interp, anchors_interp = self._run(fast=False)
+        assert anchors_fast == anchors_interp == [11.5]
+        assert rows_fast == rows_interp
+
+
 class TestGaugeExport:
     def test_timeline_gauges_in_prometheus_export(self):
         """Satellite: timeline + fanout counters ride the repro_perf_* section."""
