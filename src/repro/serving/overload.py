@@ -194,10 +194,12 @@ def admission_victims(
     the arrival is admitted once they are gone.  ``shed-oldest`` picks
     victims from the head; ``shed-by-deadline`` picks the earliest
     ``deadline(entry)`` first (queue order on ties) and never an entry
-    without one; ``reject`` picks none.  An arrival larger than the whole
-    bound is refused alone, before any victim is chosen: no amount of
-    shedding could make room for it.  Callers remove and shed the victims
-    from their own queue, then shed the arrival if it was refused.
+    without one; ``reject`` picks none.  An arrival is refused alone —
+    no victims — whenever shedding cannot make room for it: when it is
+    larger than the whole bound, or when the eligible entries (the dated
+    ones, under ``shed-by-deadline``) hold too few requests.  Callers
+    remove and shed the victims from their own queue, then shed the
+    arrival if it was refused.
     """
     entries = list(queue)
     depth = sum(map(size, entries))
@@ -221,7 +223,9 @@ def admission_victims(
             break
         victims.append(entry)
         depth -= size(entry)
-    return victims, depth + incoming <= limit
+    if depth + incoming > limit:
+        return [], False
+    return victims, True
 
 
 class KVCacheAccountant:

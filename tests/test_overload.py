@@ -30,6 +30,7 @@ from repro.serving import (
     LifecycleServer,
 )
 from repro.serving.api import make_strategy
+from repro.serving.overload import admission_victims
 from repro.serving.workload import general_trace, generative_trace
 from repro.sim.engine import Engine
 
@@ -193,6 +194,40 @@ class TestOversizeArrival:
         states = [j.state for j in jobs]
         assert states == [RequestState.COMPLETED] * 3 + [RequestState.SHED] * 3
         assert srv.metrics.shed_requests == 3
+
+
+class TestDeadlineShedShortfall:
+    """Under shed-by-deadline, dated entries too small to make room for the
+    arrival are kept: the arrival is refused alone, nothing is shed for it.
+    """
+
+    def test_admission_victims_sheds_nothing(self):
+        cfg = OverloadConfig(policy="shed-by-deadline", max_pending_requests=2)
+        undated, dated = _batch(1, 1.0), _batch(2, 2.0, deadline=1e6)
+        victims, admitted = admission_victims(
+            cfg, [undated, dated], 2, size=lambda b: b.size
+        )
+        assert victims == []
+        assert admitted is False
+
+    def test_controller_keeps_the_queue(self):
+        cfg = OverloadConfig(
+            policy="shed-by-deadline", **TestAdmissionPolicies.CFG
+        )
+        ctl, sunk, _, metrics = _controller(cfg)
+        ctl.on_arrival(_batch(0, 0.0))  # dispatched
+        undated, dated = _batch(1, 1.0), _batch(2, 2.0, deadline=1e6)
+        ctl.on_arrival(undated)
+        ctl.on_arrival(dated)
+        pair = _batch(3, 3.0, size=2, deadline=3e6)
+        ctl.on_arrival(pair)
+        assert [r.state for r in pair.requests] == [RequestState.SHED] * 2
+        assert dated.requests[0].state is not RequestState.SHED
+        assert [b.batch_id for b in ctl._pending] == [
+            undated.batch_id, dated.batch_id,
+        ]
+        assert metrics.shed_requests == 2
+        assert ctl.report.admitted_requests == 3
 
 
 class TestDeadlines:
