@@ -89,7 +89,9 @@ class LigerConfig:
         identically to an earlier planning call (same processing-list
         shapes, same contention scales, same decomposition config), replay
         the recorded round instead of re-planning.  Bit-identical to
-        planning from scratch; disable only to measure the planner.
+        planning from scratch; the goldens' cache-off arm
+        (``tests/serving_goldens.py``) disables it and asserts the same
+        traces.
     plan_cache_size:
         LRU capacity (entries) of the schedule-plan cache.
     enable_assembly_cache:
@@ -99,10 +101,10 @@ class LigerConfig:
     enable_sim_memos:
         The remaining hot-path memos this subsystem layers onto its
         execution substrate: the machine's shape-keyed contention-slowdown
-        memo and the profiler's occupancy/memory-footprint memos.  The perf
-        harness's cache-off arm disables them together with the plan and
-        assembly caches so the A/B measures every cache as one unit; all of
-        them are bit-identical on/off.
+        memo and the profiler's occupancy/memory-footprint memos.  The
+        goldens' cache-off arm (``tests/serving_goldens.py``) disables them
+        together with the plan and assembly caches and asserts the same
+        traces; all of them are bit-identical on/off.
     enable_timeline_replay:
         The compiled-timeline fast path (:mod:`repro.sim.timeline`): after
         each HYBRID round launch, the anchor-to-anchor window is compiled

@@ -11,8 +11,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.experiments.figures import ALL_FIGURES
 
@@ -36,7 +38,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="fan figures across N worker processes (0 = in-process)",
+        help="run figures across N worker processes (0 = in-process)",
     )
     args = parser.parse_args(argv)
 
@@ -46,27 +48,21 @@ def main(argv=None) -> int:
         parser.error(f"unknown figure(s): {', '.join(unknown)}")
 
     if args.workers > 0:
-        # Figures fan out like perf scenarios: every figure reseeds its own
-        # workloads, and results print in request order, so the figure text
-        # matches a sequential run.  Headers carry no per-figure timing (the
-        # sequential loop's one annotation — workers report no comparable
-        # wall time) and no worker marker: provenance is already recorded in
-        # the fanout_workers counter, and decorating the header would make
-        # fanned output gratuitously diff against sequential output.
-        from repro.perf.fanout import _figure_task, fanout_map
-
+        # Every figure reseeds its own workloads, so a worker process prints
+        # the same text a sequential run does; results are read in request
+        # order.  Headers drop the per-figure timing, the one annotation
+        # workers cannot report comparably.
+        workers = min(args.workers, len(names))
         start = time.time()
-        results = fanout_map(
-            _figure_task,
-            [(name, args.scale) for name in names],
-            args.workers,
-        )
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            futures = [pool.submit(ALL_FIGURES[name], scale=args.scale) for name in names]
+            results = [future.result() for future in futures]
         elapsed = time.time() - start
-        for figure, title, text in results:
-            print(f"\n=== {figure}: {title} ===")
-            print(text)
-        print(f"\n{len(results)} figure(s) in {elapsed:.1f}s across "
-              f"{min(args.workers, len(names))} workers")
+        for result in results:
+            print(f"\n=== {result.figure}: {result.title} ===")
+            print(result.text)
+        print(f"\n{len(results)} figure(s) in {elapsed:.1f}s across {workers} workers")
         return 0
 
     for name in names:

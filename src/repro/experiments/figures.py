@@ -154,8 +154,8 @@ def _fixed_seq_batch(size: int, seq: int, arrival: float = 1.0) -> Batch:
 # ----------------------------------------------------------------------
 # Table 1 — model specifications
 # ----------------------------------------------------------------------
-def table1() -> FigureResult:
-    """Table 1: the served models."""
+def table1(scale: str = "quick") -> FigureResult:
+    """Table 1: the served models (``scale`` is accepted and ignored)."""
     rows = []
     for name in ("OPT-30B", "OPT-66B", "GLM-130B"):
         m = MODELS[name]
@@ -919,7 +919,7 @@ def lifecycle(scale: str = "quick") -> FigureResult:
 
 #: Registry used by the CLI/bench harness.
 ALL_FIGURES: Dict[str, Callable[..., FigureResult]] = {
-    "table1": lambda scale="quick": table1(),
+    "table1": table1,
     "fig3": fig3,
     "fig4": fig4,
     "fig10": fig10,

@@ -13,7 +13,6 @@ ceiling — the paper's central claim.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from repro.core.assembly import FunctionAssembler
@@ -155,7 +154,7 @@ class InterleavedStrategy(ParallelStrategy):
         """Hot-path cache statistics (plan cache + assembly cache).
 
         The serving session exports these as ``repro_perf_*`` gauges when
-        observability is attached; the perf harness reads them directly.
+        observability is attached.
         """
         if self.runtime is None:
             return {}
@@ -174,10 +173,6 @@ class InterleavedStrategy(ParallelStrategy):
                 timeline_bails=timeline.timeline_bails,
                 batched_events=timeline.batched_events,
             )
-        # Fan-out workers: set by repro.perf.fanout in worker processes so
-        # merged BENCH cells record which parallelism produced them (0 =
-        # in-process sequential run).
-        out["fanout_workers"] = int(os.environ.get("LIGER_FANOUT_WORKERS", 0))
         cache = self.runtime.plan_cache
         if cache is not None:
             out.update(

@@ -76,8 +76,9 @@ class OpProfiler:
     memoize:
         Cache per-op occupancy/memory-intensity lookups (the duration
         profile database itself is always cached — it *is* the profile).
-        The perf harness's cache-off arm disables this to measure the
-        pre-memo hot path; results are bit-identical either way.
+        The goldens' cache-off arm (``tests/serving_goldens.py``) disables
+        this and asserts the same traces; results are bit-identical either
+        way.
     """
 
     def __init__(

@@ -302,7 +302,6 @@ class ServingSession:
         "timeline_replays": "Windows committed as one batched advance.",
         "timeline_bails": "Window compilations aborted to the interpreted path.",
         "batched_events": "Engine events consumed via batched window replay.",
-        "fanout_workers": "Perf fan-out worker count that produced this run (0 = in-process).",
     }
 
     def _register_perf_gauges(self, obs: Observability) -> None:

@@ -281,3 +281,41 @@ class TestRoundMetadata:
         r = s.plan_round()
         assert r.primary_class == RC_ALL_TO_ALL
         assert r.primary_kind is KernelKind.COMM
+
+
+# ----------------------------------------------------------------------
+# End to end: the MoE makespan claim
+# ----------------------------------------------------------------------
+class TestExpertOverlapMakespan:
+    def test_deep_processing_list_finishes_moe_trace_sooner(self):
+        """expert_overlap hides all-to-alls only with batches to pack from.
+
+        The same MoE-16E prefill trace is served with one batch in flight
+        (every exchange exposed, the Intra-Op regime) and with six; the
+        deep list must finish strictly earlier in simulated time and pack
+        secondary work into the windows.
+        """
+        from repro.core import LigerConfig
+        from repro.hw import v100_nvlink_node
+        from repro.models import MOE_16E
+        from repro.serving.api import make_strategy
+        from repro.serving.server import Server
+        from repro.serving.workload import general_trace
+        from serving_goldens import reset_batch_ids
+
+        model = MOE_16E.scaled_layers(2)
+        node = v100_nvlink_node(4)
+
+        def serve(max_inflight):
+            reset_batch_ids()
+            config = LigerConfig(policy="expert_overlap", max_inflight=max_inflight)
+            strategy = make_strategy("liger", model, node, config=config)
+            server = Server(model, node, strategy, record_trace=False,
+                            check_memory=False)
+            server.run(general_trace(24, 2000.0, 2, seed=0))
+            return server.engine.now, strategy.stats
+
+        exposed_us, _ = serve(1)
+        overlap_us, stats = serve(6)
+        assert stats.total_fill > 0
+        assert overlap_us < exposed_us

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import ConfigError
 from repro.experiments import (
     ExperimentRecord,
@@ -134,3 +141,26 @@ class TestFiguresSmoke:
         assert result.figure == name
         assert result.text
         assert result.summary
+
+
+class TestCli:
+    def test_workers_print_the_sequential_figures(self):
+        """``--workers 2`` prints the sequential run's figures, in order.
+
+        Only the headers may differ: the sequential loop annotates each
+        with its ``[x.xs]`` timing, and the pool adds one summary line.
+        """
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(*extra):
+            cmd = [sys.executable, "-m", "repro.experiments", "fig4", "table1",
+                   "--scale", "smoke", *extra]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True,
+                                  check=True, timeout=300).stdout
+
+        sequential = re.sub(r" \[\d+\.\d+s\] ===$", " ===", run(), flags=re.M)
+        pooled, summary = run("--workers", "2").rstrip("\n").rsplit("\n\n", 1)
+        assert summary.startswith("2 figure(s) in ")
+        assert sequential.count("\n=== ") == 2
+        assert pooled == sequential.rstrip("\n")

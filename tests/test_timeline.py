@@ -104,13 +104,11 @@ class TestExecutorCounters:
             "timeline_replays",
             "timeline_bails",
             "batched_events",
-            "fanout_workers",
         ):
             assert key in counters, key
         assert counters["timeline_builds"] >= 1
         assert counters["timeline_replays"] >= 1
         assert counters["batched_events"] >= counters["timeline_replays"]
-        assert counters["fanout_workers"] == 0
 
     def test_replay_off_has_no_timeline_counters(self):
         """With the flag off the runtime builds no executor at all."""
@@ -119,8 +117,6 @@ class TestExecutorCounters:
         counters = strat.perf_counters()
         assert "timeline_builds" not in counters
         assert "timeline_replays" not in counters
-        # fanout provenance is reported regardless of the replay flag.
-        assert counters["fanout_workers"] == 0
 
 
 class TestAdaptiveGate:
@@ -442,7 +438,7 @@ class TestUnchangedContendedDevice:
 
 class TestGaugeExport:
     def test_timeline_gauges_in_prometheus_export(self):
-        """Satellite: timeline + fanout counters ride the repro_perf_* section."""
+        """Satellite: timeline counters ride the repro_perf_* section."""
         from repro.obs import Observability
 
         from repro.hw import v100_nvlink_node
@@ -470,13 +466,11 @@ class TestGaugeExport:
             "repro_perf_timeline_replays",
             "repro_perf_timeline_bails",
             "repro_perf_batched_events",
-            "repro_perf_fanout_workers",
         ):
             assert gauge in text, gauge
         counters = strat.perf_counters()
         builds = counters["timeline_builds"]
         assert f"repro_perf_timeline_builds {builds}" in text
-        assert "repro_perf_fanout_workers 0" in text
 
     def test_replay_off_exports_zeroed_timeline_gauges(self):
         """Without an executor the timeline gauges read 0 (the session
@@ -509,5 +503,3 @@ class TestGaugeExport:
         assert "repro_perf_timeline_builds 0" in text
         assert "repro_perf_timeline_replays 0" in text
         assert "repro_perf_batched_events 0" in text
-        # fanout provenance is independent of the replay flag.
-        assert "repro_perf_fanout_workers 0" in text
