@@ -194,8 +194,10 @@ class Router:
                 self._handle_unhealthy(index, now, crashed=not node.alive)
         # Keep probing while work is in flight or arrivals are still due;
         # once both are exhausted the run's outcome is sealed and further
-        # sweeps would only keep an otherwise-idle engine alive.
-        if self._inflight or now < self.watch_until:
+        # sweeps would only keep an otherwise-idle engine alive.  An arrival
+        # due at this very instant is dispatched after the sweep (priority
+        # 10 after 9), so it still counts as due.
+        if self._inflight or now <= self.watch_until:
             self._schedule_sweep()
 
     def _handle_unhealthy(self, index: int, now: float, *, crashed: bool) -> None:

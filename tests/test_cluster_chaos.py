@@ -140,6 +140,31 @@ class TestSeededReplay:
         assert len(fp_served) == 64  # sha256 hex
 
 
+def test_crash_just_after_the_last_arrival_fails_it_over():
+    """A health sweep due at the last arrival's instant keeps probing.
+
+    The sweep runs before the arrival it shares an instant with (priority 9
+    before 10) and finds nothing in flight.  The last batch then goes to
+    node 0, which crashes 1 µs later; the node must still be probed, and
+    the batch failed over, instead of the run ending with it open.
+    """
+    batches = general_trace(12, 200.0, 2, seed=3)
+    assert batches[-1].arrival == 60_000.0  # a multiple of the sweep period
+    cluster = Cluster(
+        SMALL_MODEL,
+        SMALL_NODE,
+        replicas=2,
+        strategy="intra",
+        fault_plan=FaultPlan([NodeCrash(start=60_001.0, end=float("inf"), node=0)]),
+        recovery=ReplicaRecoveryConfig(health_check_period_us=1_000.0),
+        check_memory=False,
+        seed=3,
+    )
+    result = cluster.run(batches)
+    assert result.completed_requests == result.num_requests == 12
+    assert result.resilience.failovers >= 1
+
+
 # ----------------------------------------------------------------------
 # The property: arbitrary crash schedules never lose a request and never
 # reach a node the router marked unhealthy.
