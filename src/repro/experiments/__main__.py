@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.figures import ALL_FIGURES, _run_figure
 
 
 def main(argv=None) -> int:
@@ -56,12 +56,11 @@ def main(argv=None) -> int:
         start = time.time()
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            futures = [pool.submit(ALL_FIGURES[name], scale=args.scale) for name in names]
-            results = [future.result() for future in futures]
+            results = list(pool.map(_run_figure, names, [args.scale] * len(names)))
         elapsed = time.time() - start
-        for result in results:
-            print(f"\n=== {result.figure}: {result.title} ===")
-            print(result.text)
+        for figure, title, text in results:
+            print(f"\n=== {figure}: {title} ===")
+            print(text)
         print(f"\n{len(results)} figure(s) in {elapsed:.1f}s across {workers} workers")
         return 0
 

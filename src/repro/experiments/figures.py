@@ -154,8 +154,8 @@ def _fixed_seq_batch(size: int, seq: int, arrival: float = 1.0) -> Batch:
 # ----------------------------------------------------------------------
 # Table 1 — model specifications
 # ----------------------------------------------------------------------
-def table1(scale: str = "quick") -> FigureResult:
-    """Table 1: the served models (``scale`` is accepted and ignored)."""
+def table1() -> FigureResult:
+    """Table 1: the served models."""
     rows = []
     for name in ("OPT-30B", "OPT-66B", "GLM-130B"):
         m = MODELS[name]
@@ -919,7 +919,7 @@ def lifecycle(scale: str = "quick") -> FigureResult:
 
 #: Registry used by the CLI/bench harness.
 ALL_FIGURES: Dict[str, Callable[..., FigureResult]] = {
-    "table1": table1,
+    "table1": lambda scale="quick": table1(),
     "fig3": fig3,
     "fig4": fig4,
     "fig10": fig10,
@@ -933,3 +933,15 @@ ALL_FIGURES: Dict[str, Callable[..., FigureResult]] = {
     "continuous": continuous_batching,
     "lifecycle": lifecycle,
 }
+
+
+def _run_figure(name: str, scale: str) -> Tuple[str, str, str]:
+    """One registry figure by name, as ``(figure, title, text)``.
+
+    The worker task of ``python -m repro.experiments --workers N``.  It lives
+    here because a spawned worker can import this module but not a package's
+    ``__main__``, and it takes the name because the registry entries do not
+    pickle (the memoized ones are closures).
+    """
+    result = ALL_FIGURES[name](scale=scale)
+    return result.figure, result.title, result.text

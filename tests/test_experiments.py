@@ -149,18 +149,20 @@ class TestCli:
 
         Only the headers may differ: the sequential loop annotates each
         with its ``[x.xs]`` timing, and the pool adds one summary line.
+        ``fig3`` is one of the memoized registry entries, which the pool
+        must reach by name.
         """
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
 
         def run(*extra):
-            cmd = [sys.executable, "-m", "repro.experiments", "fig4", "table1",
+            cmd = [sys.executable, "-m", "repro.experiments", "fig4", "table1", "fig3",
                    "--scale", "smoke", *extra]
             return subprocess.run(cmd, env=env, capture_output=True, text=True,
                                   check=True, timeout=300).stdout
 
         sequential = re.sub(r" \[\d+\.\d+s\] ===$", " ===", run(), flags=re.M)
         pooled, summary = run("--workers", "2").rstrip("\n").rsplit("\n\n", 1)
-        assert summary.startswith("2 figure(s) in ")
-        assert sequential.count("\n=== ") == 2
+        assert summary.startswith("3 figure(s) in ")
+        assert sequential.count("\n=== ") == 3
         assert pooled == sequential.rstrip("\n")

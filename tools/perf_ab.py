@@ -3,11 +3,12 @@
     python3 tools/perf_ab.py BASE HEAD
 
 Runs ``perfbench/run.py --trace 0 --seconds 3`` from each checkout's root on
-every workload of HEAD's ``BENCHMARK.json``, in three pairs that alternate
-which side goes first, so drift on the host falls on both sides.  Exits 1
-when a run is not ``correct``, or when an ``end_to_end`` metric's head
-median is worse than the base median by more than the metric's ``bound``
-and head is also worse in every pair.
+every workload that both checkouts' ``BENCHMARK.json`` declare, in three
+pairs that alternate which side goes first, so drift on the host falls on
+both sides.  Exits 1 when a run is not ``correct`` (or prints no JSON
+record), or when an ``end_to_end`` metric that both sides declare has a
+head median worse than the base median by more than HEAD's ``bound`` for
+it, and head is also worse in every pair.
 """
 
 from __future__ import annotations
@@ -27,11 +28,19 @@ def bench(root: Path, workload: str) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--trace", "0", "--seconds", "3"],
         cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {"correct": False}
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = {"correct": False}
     if not result["correct"]:
         print(f"{root} {workload}: not correct\n{proc.stderr.strip()}")
     return result
+
+
+def shared(key: str, base: dict, head: dict) -> list:
+    """HEAD's ``key`` entries whose names BASE's spec declares too."""
+    names = {entry["name"] for entry in base.get(key, [])}
+    return [entry for entry in head[key] if entry["name"] in names]
 
 
 def loss(metric: dict, head: float, base: float) -> float:
@@ -45,9 +54,11 @@ def main(argv: list) -> int:
         print("usage: python3 tools/perf_ab.py BASE HEAD", file=sys.stderr)
         return 2
     base, head = (Path(p).resolve() for p in argv)
-    spec = json.loads((head / "BENCHMARK.json").read_text())
+    base_spec, spec = (json.loads((root / "BENCHMARK.json").read_text())
+                       for root in (base, head))
+    metrics = shared("end_to_end", base_spec, spec)
     failed = False
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in (w["name"] for w in shared("workloads", base_spec, spec)):
         runs = {base: [], head: []}
         for pair in range(PAIRS):
             for side in (base, head) if pair % 2 == 0 else (head, base):
@@ -55,7 +66,7 @@ def main(argv: list) -> int:
         if not all(r["correct"] for r in runs[base] + runs[head]):
             failed = True
             continue
-        for metric in spec["end_to_end"]:
+        for metric in metrics:
             b, h = ([r["metrics"][metric["name"]]["value"] for r in runs[side]]
                     for side in (base, head))
             worse = loss(metric, statistics.median(h), statistics.median(b))
