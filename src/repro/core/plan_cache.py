@@ -11,7 +11,8 @@ function of that input.  :class:`SchedulePlanCache` exploits this:
   (:attr:`~repro.core.assembly.FuncVec.sig` — assembly-cache content key +
   pop count + pushed-back remainder tags), the anticipator's
   ``fingerprint()`` (contention scales, §3.5), the decomposition division
-  factor (§3.6), and the packing policy.  Anything unfingerprintable (a
+  factor (§3.6), the packing policy, and the link health the round's
+  collectives are issued at.  Anything unfingerprintable (a
   FuncVec built without a content key, an anticipator without
   ``fingerprint``) makes the call uncacheable — counted, never guessed.
 * **Record** — on a miss the scheduler plans normally while recording its
@@ -32,8 +33,11 @@ fill, durations are stored), so there is no room for ulp drift.
 
 Invalidation is structural, not temporal: contention scales live *in* the
 key (an :class:`~repro.core.contention.AdaptiveAnticipator` that learned a
-new factor simply stops matching), and fault-injected slowdowns are applied
-by the machine at execution time, outside anything this cache stores.
+new factor simply stops matching).  So does the interconnect's link health:
+a collective's duration is costed when it is issued, so a round recorded
+under a link degradation never replays on healthy links or the reverse.
+Every other fault slowdown is applied by the machine at execution time,
+outside anything this cache stores.
 """
 
 from __future__ import annotations
@@ -132,8 +136,11 @@ class SchedulePlanCache:
     # ------------------------------------------------------------------
     # Fingerprinting
     # ------------------------------------------------------------------
-    def fingerprint(self, scheduler: LigerScheduler) -> Optional[Tuple]:
-        """Key over everything :meth:`LigerScheduler.plan_swept` reads.
+    def fingerprint(
+        self, scheduler: LigerScheduler, link_health: float = 1.0
+    ) -> Optional[Tuple]:
+        """Key over everything :meth:`LigerScheduler.plan_swept` reads, plus
+        the ``link_health`` the round's collectives would be costed at.
 
         Call *after* the drain sweep (the sweep mutates the processing
         list).  Returns None when the state is not cacheable.
@@ -163,7 +170,7 @@ class SchedulePlanCache:
             if policy is not None
             else ("dichotomy", scheduler.packing)
         )
-        return (anticipator_fp(), division, policy_fp, tuple(sigs))
+        return (anticipator_fp(), division, policy_fp, link_health, tuple(sigs))
 
     # ------------------------------------------------------------------
     # LRU plumbing

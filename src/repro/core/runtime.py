@@ -221,7 +221,7 @@ class LigerRuntime:
                 round_.subset1
             )
         sched._sweep_drained()
-        key = cache.fingerprint(sched)
+        key = cache.fingerprint(sched, self.profiler.collectives.link_health())
         if key is not None:
             entry = cache.get(key)
             if entry is not None:

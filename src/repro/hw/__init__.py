@@ -21,6 +21,7 @@ from repro.hw.devices import (
 )
 from repro.hw.topology import (
     InterconnectKind,
+    Link,
     Topology,
     nvlink_mesh,
     pcie_switch,
@@ -35,6 +36,7 @@ __all__ = [
     "a100_pcie_node",
     "TESTBEDS",
     "InterconnectKind",
+    "Link",
     "Topology",
     "nvlink_mesh",
     "pcie_switch",

@@ -114,19 +114,19 @@ def _rebuild_topology(topology: Topology, num_gpus: int) -> Topology:
     from repro.hw.topology import InterconnectKind
 
     if topology.kind is InterconnectKind.NVLINK:
-        sample = topology.graph.edges[0, 1] if topology.num_gpus > 1 else None
+        sample = topology.links[0, 1] if topology.num_gpus > 1 else None
         return nvlink_mesh(
             num_gpus,
-            link_bandwidth=sample["bandwidth"] if sample else GBps(25.0),
-            link_latency=sample["latency"] if sample else us(1.5),
+            link_bandwidth=sample.bandwidth if sample else GBps(25.0),
+            link_latency=sample.latency if sample else us(1.5),
             allreduce_bus_bandwidth=topology.allreduce_bus_bandwidth,
         )
     if topology.kind is InterconnectKind.PCIE_SWITCH:
-        sample = topology.graph.edges[0, "switch"]
+        sample = topology.links[0, "switch"]
         return pcie_switch(
             num_gpus,
-            lane_bandwidth=sample["bandwidth"],
-            lane_latency=sample["latency"],
+            lane_bandwidth=sample.bandwidth,
+            lane_latency=sample.latency,
             allreduce_bus_bandwidth=topology.allreduce_bus_bandwidth,
         )
     raise ConfigError("cannot rescale a CUSTOM topology; build it explicitly")

@@ -93,7 +93,12 @@ class OpProfiler:
         self.node = node
         self.cost_model = cost_model or KernelCostModel(node.gpu)
         self.nccl = nccl or NcclConfig()
+        #: Costs collectives as they are issued; fault injection hooks its
+        #: ``bandwidth_scale`` to degrade links for a window.
         self.collectives = CollectiveCostModel(node.topology, self.nccl)
+        # The offline profile is measured on healthy links, so no fault
+        # hook ever reaches it (or the durations the planner reads from it).
+        self._healthy = CollectiveCostModel(node.topology, self.nccl)
         self.participants = (
             list(participants) if participants is not None else list(range(node.num_gpus))
         )
@@ -106,17 +111,17 @@ class OpProfiler:
     # The profile database
     # ------------------------------------------------------------------
     def duration(self, op: OpDesc) -> float:
-        """No-load duration (µs) of one op, cached."""
+        """No-load duration (µs) of one op on healthy links, cached."""
         key = op_key(op)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         if op.op == "all_reduce":
-            value = self.collectives.allreduce_duration(op.comm_bytes, self.participants)
+            value = self._healthy.allreduce_duration(op.comm_bytes, self.participants)
         elif op.op == "all_to_all":
-            value = self.collectives.alltoall_duration(op.comm_bytes, self.participants)
+            value = self._healthy.alltoall_duration(op.comm_bytes, self.participants)
         elif op.op == "p2p":
-            value = self.collectives.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst)
+            value = self._healthy.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst)
         else:
             value = self.cost_model.duration(op)
         self._cache[key] = value
@@ -177,17 +182,17 @@ class OpProfiler:
             self.node, Engine(), contention=NullContention(), trace=Trace()
         )
         if op.op == "all_reduce":
-            coll = self.collectives.make_allreduce(op.comm_bytes, self.participants)
+            coll = self._healthy.make_allreduce(op.comm_bytes, self.participants)
             for gpu in self.participants:
                 stream = machine.gpu(gpu).stream("profile")
                 machine.launch(stream, coll.members[gpu], available_at=0.0)
         elif op.op == "all_to_all":
-            coll = self.collectives.make_all_to_all(op.comm_bytes, self.participants)
+            coll = self._healthy.make_all_to_all(op.comm_bytes, self.participants)
             for gpu in self.participants:
                 stream = machine.gpu(gpu).stream("profile")
                 machine.launch(stream, coll.members[gpu], available_at=0.0)
         elif op.op == "p2p":
-            coll = self.collectives.make_p2p(op.comm_bytes, op.p2p_src, op.p2p_dst)
+            coll = self._healthy.make_p2p(op.comm_bytes, op.p2p_src, op.p2p_dst)
             for gpu in (op.p2p_src, op.p2p_dst):
                 stream = machine.gpu(gpu).stream("profile")
                 machine.launch(stream, coll.members[gpu], available_at=0.0)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.units import seconds
 
@@ -66,6 +64,8 @@ class PoissonProcess(ArrivalProcess):
         """Exponential inter-arrival gaps from the seeded RNG."""
         if n < 0:
             raise ConfigError("n must be >= 0")
+        import numpy as np  # lazy: keeps numpy off the serving import path
+
         rng = np.random.default_rng(self.seed)
         gaps = rng.exponential(scale=seconds(1.0) / self.rate, size=n)
         return list(np.cumsum(gaps))
@@ -128,9 +128,11 @@ class BurstyProcess(ArrivalProcess):
         """Alternating burst/lull phases of ``phase_requests`` each."""
         if n < 0:
             raise ConfigError("n must be >= 0")
-        rng = (
-            np.random.default_rng(self.seed) if self.jitter_frac > 0.0 else None
-        )
+        rng = None
+        if self.jitter_frac > 0.0:
+            import numpy as np  # lazy: keeps numpy off the serving import path
+
+            rng = np.random.default_rng(self.seed)
         out: List[float] = []
         t = 0.0
         in_burst = True

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.serving.arrival import ArrivalProcess, ConstantRate
 from repro.serving.overload import admission_victims
@@ -118,6 +116,8 @@ def generation_workload(
         raise ConfigError("deadline_us must be positive")
     proc = arrival or ConstantRate(rate)
     times = proc.arrivals(num_requests)
+    import numpy as np  # lazy: keeps numpy off the serving import path
+
     rng = np.random.default_rng(seed)
     lengths = rng.integers(lo, hi + 1, size=num_requests)
     return [

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError, IncompleteRequestError
 from repro.obs.events import BatchCompleted, BatchPreempted
 from repro.serving.arrival import ArrivalProcess, ConstantRate
@@ -116,6 +114,8 @@ def chat_workload(
         raise ConfigError("deadline_us must be positive")
     proc = arrival or ConstantRate(rate)
     times = proc.arrivals(num_requests)
+    import numpy as np  # lazy: keeps numpy off the serving import path
+
     rng = np.random.default_rng(seed)
     prompts = rng.integers(p_lo, p_hi + 1, size=num_requests)
     gens = rng.integers(g_lo, g_hi + 1, size=num_requests)

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError, IncompleteRequestError
 from repro.serving.request import Request
 from repro.units import us_to_s
@@ -49,15 +47,63 @@ class LatencyStats:
             return LatencyStats(
                 mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0, count=0
             )
-        arr = np.asarray(latencies, dtype=float) / 1e3  # µs → ms
+        ms = [float(x) / 1e3 for x in latencies]  # µs → ms
+        ranked = sorted(ms)
         return LatencyStats(
-            mean=float(arr.mean()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            p99=float(np.percentile(arr, 99)),
-            max=float(arr.max()),
-            count=len(arr),
+            mean=_mean(ms),
+            p50=_percentile(ranked, 50),
+            p95=_percentile(ranked, 95),
+            p99=_percentile(ranked, 99),
+            max=ranked[-1],
+            count=len(ms),
         )
+
+
+# The summaries below reproduce numpy's ``np.mean`` and default (linear)
+# ``np.percentile`` bit for bit, so the serving path needs no numpy.
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, summed in numpy's pairwise order."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _pairwise_sum(values: Sequence[float], lo: int, hi: int) -> float:
+    """numpy's pairwise float sum of ``values[lo:hi]``: blocks of up to 128
+    summed by eight interleaved accumulators, larger spans split in two."""
+    n = hi - lo
+    if n < 8:
+        total = -0.0
+        for i in range(lo, hi):
+            total += values[i]
+        return total
+    if n <= 128:
+        acc = list(values[lo : lo + 8])
+        end = hi - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for i in range(end, hi):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def _percentile(ranked: Sequence[float], q: float) -> float:
+    """Linear-interpolation percentile of sorted values (numpy's default):
+    virtual index ``(n-1)·q/100``, lerped from whichever neighbour is nearer."""
+    index = (len(ranked) - 1) * (q / 100)
+    below = int(index)
+    lo = ranked[below]
+    hi = ranked[min(below + 1, len(ranked) - 1)]
+    frac = index - below
+    diff = hi - lo
+    return lo + diff * frac if frac < 0.5 else hi - diff * (1 - frac)
 
 
 @dataclass
@@ -168,4 +214,4 @@ class ServingMetrics:
         ]
         if not waits:
             return 0.0
-        return float(np.mean(waits)) / 1e3
+        return _mean(waits) / 1e3

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.serving.arrival import ArrivalProcess, ConstantRate
 from repro.serving.request import Batch, Phase, Request
@@ -120,6 +118,8 @@ def general_trace(
         raise ConfigError(f"invalid seq_range {seq_range}")
     proc = arrival or ConstantRate(rate)
     times = proc.arrivals(num_requests)
+    import numpy as np  # lazy: keeps numpy off the serving import path
+
     rng = np.random.default_rng(seed)
     seqs = rng.integers(lo, hi + 1, size=num_requests)
     requests = [

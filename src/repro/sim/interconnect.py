@@ -98,7 +98,7 @@ class CollectiveCostModel:
         #: is bit-exact with the unhooked cost model.
         self.bandwidth_scale: Optional[Callable[[], float]] = None
 
-    def _link_health(self) -> float:
+    def link_health(self) -> float:
         """Current bandwidth fraction from the fault hook (1.0 when healthy)."""
         if self.bandwidth_scale is None:
             return 1.0
@@ -120,7 +120,7 @@ class CollectiveCostModel:
         bw = (
             self.topology.allreduce_bus_bandwidth
             * self.nccl.bandwidth_fraction
-            * self._link_health()
+            * self.link_health()
         )
         hop_latency = self._ring_hop_latency(participants)
         steps = 2 * (p - 1)
@@ -145,7 +145,7 @@ class CollectiveCostModel:
         bw = (
             self.topology.allreduce_bus_bandwidth
             * self.nccl.bandwidth_fraction
-            * self._link_health()
+            * self.link_health()
         )
         hop_latency = self._ring_hop_latency(participants)
         steps = p - 1
@@ -161,7 +161,7 @@ class CollectiveCostModel:
         bw = (
             self.topology.p2p_bandwidth(src, dst)
             * self.nccl.bandwidth_fraction
-            * self._link_health()
+            * self.link_health()
         )
         latency = self.topology.p2p_latency(src, dst)
         return self.nccl.min_latency + latency + size_bytes / bw * 1e6

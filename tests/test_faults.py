@@ -254,6 +254,32 @@ class TestInjectorHooks:
         d1 = degraded.allreduce_duration(nbytes, [0, 1, 2, 3])
         assert d1 > d0  # half the bandwidth → strictly slower
 
+    def test_profiled_collective_stays_healthy_under_degradation(self):
+        """The offline profile never sees a link fault; issued collectives
+        are costed at the health of the instant they are issued."""
+        from repro.models.ops import allreduce_op
+        from repro.parallel.base import instantiate_op
+        from repro.profiling.profiler import OpProfiler
+
+        node = v100_nvlink_node(2)
+        profiler = OpProfiler(node)
+        machine = Machine(node, Engine())
+        FaultInjector(
+            FaultPlan([LinkDegradation(start=0.0, end=1000.0, fraction=0.25)])
+        ).arm(machine, cost_models=[profiler.collectives])
+        op = allreduce_op("ar", 0, 8e6)
+        healthy = OpProfiler(node).duration(op)
+
+        assert profiler.duration(op) == healthy  # t=0: link degraded
+        degraded = instantiate_op(op, [0, 1], 0, profiler)[0].duration
+        assert degraded > 3 * healthy
+
+        machine.engine.schedule_at(5000.0, lambda: None)
+        machine.engine.run()
+        assert machine.engine.now == 5000.0  # t=5000: link healthy again
+        assert profiler.duration(op) == healthy
+        assert instantiate_op(op, [0, 1], 0, profiler)[0].duration == healthy
+
     def test_bandwidth_scale_out_of_range_rejected(self):
         from repro.sim.interconnect import CollectiveCostModel
 

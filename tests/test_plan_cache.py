@@ -45,6 +45,54 @@ class TestCacheOffEquivalence:
         )
 
 
+class TestLinkHealth:
+    """A collective is costed at the link health of the instant it is
+    issued, so a round recorded on one health must not replay on another."""
+
+    @staticmethod
+    def _serve(fault, cache):
+        from repro.core import LigerConfig
+        from repro.faults import FaultPlan
+        from repro.hw import v100_nvlink_node
+        from repro.models import OPT_30B
+        from repro.serving.api import make_strategy
+        from repro.serving.generation import ContinuousBatchingServer, GenRequest
+
+        model = OPT_30B.scaled_layers(4)
+        node = v100_nvlink_node(2)
+        strategy = make_strategy(
+            "liger", model, node, config=LigerConfig(enable_plan_cache=cache)
+        )
+        server = ContinuousBatchingServer(
+            model, node, strategy, fault_plan=FaultPlan([fault]),
+            check_memory=False,
+        )
+        jobs = [
+            GenRequest(rid=i, arrival=(i + 1) * 1e6 / 1200.0, context_len=16,
+                       gen_tokens=1)
+            for i in range(240)
+        ]
+        server.run(jobs)
+        outcome = [(j.rid, j.state, j.completion) for j in jobs]
+        return outcome, server.engine.now, strategy.perf_counters()
+
+    @pytest.mark.parametrize("fraction", [0.25, 1.0])
+    def test_cache_on_matches_cache_off_under_link_degradation(self, fraction):
+        from repro.faults import LinkDegradation
+
+        fault = LinkDegradation(start=50_000.0, end=120_000.0, fraction=fraction)
+        on = self._serve(fault, cache=True)
+        off = self._serve(fault, cache=False)
+        assert on[2]["plan_cache_hits"] > 0
+        assert on[:2] == off[:2]
+
+    def test_link_health_separates_keys(self):
+        cache = SchedulePlanCache([0, 1])
+        stub = _scheduler_stub()
+        assert cache.fingerprint(stub) == cache.fingerprint(stub, 1.0)
+        assert cache.fingerprint(stub, 0.25) != cache.fingerprint(stub, 1.0)
+
+
 # ----------------------------------------------------------------------
 # Fingerprint separation
 # ----------------------------------------------------------------------

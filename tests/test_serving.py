@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,3 +274,29 @@ def test_latency_stats_ordering_invariants(lat):
     assert stats.p50 <= stats.p95 <= stats.p99 <= stats.max
     eps = 1e-12  # float summation slack in the mean
     assert min(lat) / 1e3 - eps <= stats.mean <= stats.max + eps
+
+
+@given(
+    lat=st.lists(
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        min_size=1,
+        max_size=300,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_latency_stats_match_numpy(lat):
+    """The pure-Python summary reproduces numpy's mean and linear percentile."""
+    stats = LatencyStats.from_latencies_us(lat)
+    arr = np.asarray(lat, dtype=float) / 1e3
+    assert stats.p50 == float(np.percentile(arr, 50))
+    assert stats.p95 == float(np.percentile(arr, 95))
+    assert stats.p99 == float(np.percentile(arr, 99))
+    assert stats.max == float(arr.max())
+    assert stats.mean == pytest.approx(float(arr.mean()), rel=1e-12)
+    assert stats.count == len(lat)
+
+
+def test_latency_stats_empty_input_is_all_zero():
+    assert LatencyStats.from_latencies_us([]) == LatencyStats(
+        mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0, count=0
+    )

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.errors import ConfigError
-from repro.hw import InterconnectKind, Topology, nvlink_mesh, pcie_switch
+from repro.hw import InterconnectKind, Link, Topology, nvlink_mesh, pcie_switch
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 from repro.units import GB, GBps, us
 
@@ -49,14 +49,36 @@ class TestTopology:
         with pytest.raises(ConfigError):
             t.p2p_bandwidth(0, 0)
 
+    @pytest.mark.parametrize(
+        "links",
+        [
+            {(0, 2): Link(GBps(10.0), us(1.0))},  # endpoint is not a GPU
+            {(-1, "switch"): Link(GBps(10.0), us(1.0))},
+            {(1, 1): Link(GBps(10.0), us(1.0))},  # self-loop
+            {(0, 1): Link(0.0, us(1.0))},
+            {(0, 1): Link(GBps(10.0), -1.0)},
+        ],
+    )
+    def test_malformed_links_rejected(self, links):
+        with pytest.raises(ConfigError):
+            Topology(num_gpus=2, kind=InterconnectKind.CUSTOM, links=links)
+
+    def test_plain_pairs_become_links(self):
+        t = Topology(
+            num_gpus=2, kind=InterconnectKind.CUSTOM,
+            links={(0, 1): (GBps(10.0), us(2.0))},
+        )
+        assert t.links[0, 1] == Link(bandwidth=GBps(10.0), latency=us(2.0))
+        assert t.p2p_bandwidth(1, 0) == GBps(10.0)
+
 
 def partial_ring(num_gpus: int = 4) -> Topology:
     """A ring with its last link missing: 0–1–2–3, distinct link costs."""
-    g = nx.Graph()
-    g.add_nodes_from(range(num_gpus))
-    for a in range(num_gpus - 1):
-        g.add_edge(a, a + 1, bandwidth=GBps(10.0 + a), latency=us(1.0 + 0.25 * a))
-    return Topology(num_gpus=num_gpus, kind=InterconnectKind.CUSTOM, graph=g)
+    links = {
+        (a, a + 1): Link(GBps(10.0 + a), us(1.0 + 0.25 * a))
+        for a in range(num_gpus - 1)
+    }
+    return Topology(num_gpus=num_gpus, kind=InterconnectKind.CUSTOM, links=links)
 
 
 TOPOLOGIES = {
@@ -68,16 +90,21 @@ TOPOLOGIES = {
 
 class TestPairTables:
     """Pair queries are answered from per-pair tables; every answer must be
-    what networkx gives on the graph, on the first query and every later one."""
+    what networkx gives on a graph of the same links, on the first query and
+    every later one."""
 
     @staticmethod
     def _reference(topo, src, dst):
-        path = nx.shortest_path(topo.graph, src, dst)
+        graph = nx.Graph()
+        graph.add_nodes_from(topo.gpu_ids())
+        for (a, b), link in topo.links.items():
+            graph.add_edge(a, b, bandwidth=link.bandwidth, latency=link.latency)
+        path = nx.shortest_path(graph, src, dst)
         hops = list(zip(path, path[1:]))
         return (
             path,
-            sum(topo.graph.edges[a, b]["latency"] for a, b in hops),
-            min(topo.graph.edges[a, b]["bandwidth"] for a, b in hops),
+            sum(graph.edges[a, b]["latency"] for a, b in hops),
+            min(graph.edges[a, b]["bandwidth"] for a, b in hops),
         )
 
     @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
@@ -123,13 +150,11 @@ class TestPairTables:
         assert topo.p2p_latency(0, 1) == pytest.approx(6.0)
 
     def test_disconnected_pair_fails_at_query_time(self):
-        g = nx.Graph()
-        g.add_nodes_from(range(3))
-        g.add_edge(0, 1, bandwidth=GBps(10.0), latency=us(1.0))
-        topo = Topology(num_gpus=3, kind=InterconnectKind.CUSTOM, graph=g)
+        links = {(0, 1): Link(GBps(10.0), us(1.0))}
+        topo = Topology(num_gpus=3, kind=InterconnectKind.CUSTOM, links=links)
         assert topo.p2p_latency(0, 1) == us(1.0)
         for _ in range(2):
-            with pytest.raises(nx.NetworkXNoPath):
+            with pytest.raises(ConfigError, match="no path"):
                 topo.p2p_latency(0, 2)
 
 
